@@ -47,13 +47,27 @@ void BM_ResolveColdPerSubnet(benchmark::State& state) {
   Rig rig;
   dnscore::Message q = dnscore::Message::make_query(1, rig.host, dnscore::RRType::A);
   q.opt = dnscore::OptRecord{};
+  // Clients cycle through the 2^16 /24s of 100.0.0.0/8. Each lap starts
+  // with an empty answer cache, so every iteration is a miss (the NS cache
+  // stays warm after the first) and the cache cannot grow without bound
+  // under the frozen clock.
+  constexpr std::uint32_t kSubnets = 1u << 16;
   std::uint32_t subnet = 0;
+  std::uint64_t allocations = 0;
   for (auto _ : state) {
-    // A fresh /24 every time: full upstream fetch through the hierarchy
-    // (NS caches warm after the first iteration).
-    const auto client = IpAddress::v4((100u << 24) | (++subnet << 8) | 5u);
+    if (subnet == kSubnets) {
+      state.PauseTiming();
+      rig.resolver->cache().clear();
+      subnet = 0;
+      state.ResumeTiming();
+    }
+    const auto client = IpAddress::v4((100u << 24) | (subnet++ << 8) | 5u);
+    const std::uint64_t before = obs::allocation_count();
     benchmark::DoNotOptimize(rig.resolver->handle_client_query(q, client));
+    allocations += obs::allocation_count() - before;
   }
+  state.counters["allocs_per_iter"] = benchmark::Counter(
+      static_cast<double>(allocations), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_ResolveColdPerSubnet);
 

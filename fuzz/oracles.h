@@ -74,8 +74,9 @@ inline void check_message(const std::uint8_t* data, std::size_t size) {
 }
 
 // MessageView ⇄ Message::parse differential oracle. The view's constructor
-// promises to accept a wire buffer if and only if the full parser does, and
-// to read the same header/question/EDNS/ECS fields out of it. Any
+// promises to accept a wire buffer if and only if the full parser does, to
+// read the same header/question/EDNS/ECS fields out of it, and to walk the
+// same records. Any
 // divergence — one side rejecting what the other accepts, or a field
 // disagreement on an accepted input — is a bug in one of them.
 inline void check_message_view(const std::uint8_t* data, std::size_t size) {
@@ -150,6 +151,31 @@ inline void check_message_view(const std::uint8_t* data, std::size_t size) {
   }
   ECSDNS_CHECK(full_threw == view_threw);
   ECSDNS_CHECK(full_ecs == view_ecs);
+
+  // The record walks must visit exactly the records of parse()'s sections
+  // (additional without OPT), with the same fixed fields, and build each
+  // record identically.
+  const auto check_section = [](dnscore::RecordRange walk,
+                                const std::vector<dnscore::ResourceRecord>& records) {
+    std::size_t i = 0;
+    for (const auto& rv : walk) {
+      ECSDNS_CHECK(i < records.size());
+      const auto& rr = records[i++];
+      ECSDNS_CHECK(rv.type() == rr.type);
+      ECSDNS_CHECK(rv.rrclass() == rr.rrclass);
+      ECSDNS_CHECK(rv.ttl() == rr.ttl);
+      ECSDNS_CHECK(rv.owner() == rr.name);
+      ECSDNS_CHECK(rv.to_record() == rr);
+      if (const auto* raw = std::get_if<dnscore::RawRdata>(&rr.rdata)) {
+        const auto rdata = rv.rdata();
+        ECSDNS_CHECK(std::vector<std::uint8_t>(rdata.begin(), rdata.end()) == raw->data);
+      }
+    }
+    ECSDNS_CHECK(i == records.size());
+  };
+  check_section(view->answers(), full->answers);
+  check_section(view->authorities(), full->authorities);
+  check_section(view->additional(), full->additional);
 }
 
 // Name wire-decompression oracle: an accepted name fits RFC 1035 bounds,

@@ -114,10 +114,14 @@ EdnsOption EcsOption::to_edns() const {
 
 void EcsOption::payload_into(std::vector<std::uint8_t>& out) const {
   WireWriter w(out);
-  w.u16(family_);
-  w.u8(source_);
-  w.u8(scope_);
-  w.bytes({address_.data(), address_.size()});
+  write_payload(w);
+}
+
+void EcsOption::write_payload(WireWriter& writer) const {
+  writer.u16(family_);
+  writer.u8(source_);
+  writer.u8(scope_);
+  writer.bytes({address_.data(), address_.size()});
 }
 
 EcsOption EcsOption::from_edns(const EdnsOption& option) {

@@ -98,6 +98,9 @@ class EcsOption {
   // replacing its contents but reusing its capacity — the in-place dual of
   // to_edns() for Message::set_ecs's retained option slot.
   ECSDNS_NOALLOC void payload_into(std::vector<std::uint8_t>& out) const;
+  // Appends the option payload wire bytes (no TLV header) to `writer`; the
+  // query writer encodes the option straight into the outgoing packet.
+  ECSDNS_NOALLOC void write_payload(WireWriter& writer) const;
 
   // e.g. "ECS 1.2.3.0/24 scope 0".
   std::string to_string() const;

@@ -19,11 +19,14 @@ struct EdnsOption {
   bool operator==(const EdnsOption&) const = default;
 };
 
+// The UDP payload size this library advertises in the OPT records it sends.
+inline constexpr std::uint16_t kEdnsUdpPayloadSize = 4096;
+
 // The decoded OPT pseudo-RR. The OPT record abuses the RR fields: CLASS
 // carries the requestor's UDP payload size and TTL packs the extended
 // rcode, EDNS version, and DO bit.
 struct OptRecord {
-  std::uint16_t udp_payload_size = 4096;
+  std::uint16_t udp_payload_size = kEdnsUdpPayloadSize;
   std::uint8_t extended_rcode = 0;  // upper 8 bits of the 12-bit rcode
   std::uint8_t version = 0;
   bool dnssec_ok = false;

@@ -125,8 +125,11 @@ MessageView::MessageView(std::span<const std::uint8_t> wire) : wire_(wire) {
       qclass_ = qclass;
     }
   }
+  answers_offset_ = r.offset();
   for (std::uint16_t i = 0; i < ancount_; ++i) skip_record(r);
+  authorities_offset_ = r.offset();
   for (std::uint16_t i = 0; i < nscount_; ++i) skip_record(r);
+  additional_offset_ = r.offset();
   for (std::uint16_t i = 0; i < arcount_; ++i) {
     const std::size_t labels = Name::skip(r);
     const RRType type = static_cast<RRType>(r.u16());
@@ -185,6 +188,43 @@ std::span<const std::uint8_t> MessageView::ecs_payload() const noexcept {
 std::optional<EcsOption> MessageView::ecs() const {
   if (!has_ecs_) return std::nullopt;
   return EcsOption::parse_payload(ecs_payload());
+}
+
+Name RecordView::owner() const {
+  WireReader r(wire_);
+  r.seek(owner_offset_);
+  return Name::parse(r);
+}
+
+Name RecordView::rdata_name() const {
+  WireReader r(wire_);
+  r.seek(rdata_offset_);
+  return Name::parse(r);
+}
+
+ResourceRecord RecordView::to_record() const {
+  WireReader r(wire_);
+  r.seek(owner_offset_);
+  return ResourceRecord::parse(r);
+}
+
+void RecordRange::Iterator::advance() {
+  while (left_ > 0) {
+    --left_;
+    WireReader r(wire_);
+    r.seek(next_);
+    record_.wire_ = wire_;
+    record_.owner_offset_ = next_;
+    Name::skip(r);
+    record_.type_ = static_cast<RRType>(r.u16());
+    record_.rrclass_ = static_cast<RRClass>(r.u16());
+    record_.ttl_ = r.u32();
+    record_.rdlength_ = r.u16();
+    record_.rdata_offset_ = r.offset();
+    next_ = r.offset() + record_.rdlength_;
+    if (!skip_opt_ || record_.type_ != RRType::OPT) return;
+  }
+  done_ = true;
 }
 
 }  // namespace ecsdns::dnscore

@@ -13,7 +13,9 @@
 // oracle in tests/ and fuzz/ holds the two implementations to that
 // contract). What the walk skips is materialization: it records offsets
 // into the buffer instead of building Names, records, and option vectors.
-// qname() and ecs() decode on demand from the recorded offsets.
+// qname() and ecs() decode on demand from the recorded offsets, and the
+// record walks (answers(), authorities(), additional()) re-walk the sections
+// from the recorded section starts.
 //
 // Lifetime: the view borrows the buffer. The caller keeps the wire bytes
 // alive and unmodified for as long as the view (or any span returned from
@@ -23,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <span>
 
@@ -31,6 +34,87 @@
 #include "dnscore/message.h"
 
 namespace ecsdns::dnscore {
+
+// One resource record of a validated message: the fixed fields decoded, the
+// owner name and rdata left in the wire buffer (borrowed, like the view's).
+class RecordView {
+ public:
+  RRType type() const noexcept { return type_; }
+  RRClass rrclass() const noexcept { return rrclass_; }
+  std::uint32_t ttl() const noexcept { return ttl_; }
+  // The RDLENGTH octets. Names inside may be compression pointers into the
+  // whole message, so decode those with rdata_name().
+  std::span<const std::uint8_t> rdata() const noexcept {
+    return wire_.subspan(rdata_offset_, rdlength_);
+  }
+
+  // The owner name, decompressed.
+  Name owner() const;
+  // The name the rdata starts with: the target of an NS, CNAME or PTR.
+  Name rdata_name() const;
+  // The record exactly as ResourceRecord::parse reads it.
+  ECSDNS_MAY_BLOCK ResourceRecord to_record() const;
+
+ private:
+  friend class RecordRange;
+
+  std::span<const std::uint8_t> wire_;
+  std::size_t owner_offset_ = 0;
+  std::size_t rdata_offset_ = 0;
+  std::uint16_t rdlength_ = 0;
+  RRType type_ = RRType::A;
+  RRClass rrclass_ = RRClass::IN;
+  std::uint32_t ttl_ = 0;
+};
+
+// The records of one section, in wire order. Walking decodes each record's
+// fixed fields in place and allocates nothing.
+class RecordRange {
+ public:
+  class Iterator {
+   public:
+    using value_type = RecordView;
+    using difference_type = std::ptrdiff_t;
+
+    const RecordView& operator*() const noexcept { return record_; }
+    const RecordView* operator->() const noexcept { return &record_; }
+    Iterator& operator++() {
+      advance();
+      return *this;
+    }
+    bool operator==(std::default_sentinel_t) const noexcept { return done_; }
+
+   private:
+    friend class RecordRange;
+    explicit Iterator(const RecordRange& range)
+        : wire_(range.wire_), next_(range.offset_), left_(range.count_),
+          skip_opt_(range.skip_opt_) {
+      advance();
+    }
+    // Decodes the next record (passing over OPT when asked) or ends.
+    ECSDNS_NOALLOC void advance();
+
+    std::span<const std::uint8_t> wire_;
+    std::size_t next_;
+    std::uint16_t left_;
+    bool skip_opt_;
+    bool done_ = false;
+    RecordView record_;
+  };
+
+  RecordRange(std::span<const std::uint8_t> wire, std::size_t offset,
+              std::uint16_t count, bool skip_opt) noexcept
+      : wire_(wire), offset_(offset), count_(count), skip_opt_(skip_opt) {}
+
+  Iterator begin() const { return Iterator(*this); }
+  std::default_sentinel_t end() const noexcept { return {}; }
+
+ private:
+  std::span<const std::uint8_t> wire_;
+  std::size_t offset_;
+  std::uint16_t count_;
+  bool skip_opt_;
+};
 
 class MessageView {
  public:
@@ -85,6 +169,19 @@ class MessageView {
   // structurally short payload — exactly when Message::ecs() would.
   std::optional<EcsOption> ecs() const;
 
+  // --- records ---
+  // The constructor validated every record, so these walks never throw.
+  // additional() leaves out the OPT pseudo-RR, as Message::additional does.
+  RecordRange answers() const noexcept {
+    return {wire_, answers_offset_, ancount_, false};
+  }
+  RecordRange authorities() const noexcept {
+    return {wire_, authorities_offset_, nscount_, false};
+  }
+  RecordRange additional() const noexcept {
+    return {wire_, additional_offset_, arcount_, true};
+  }
+
   // Full materialization for callers that outgrow the view. Never throws
   // for a successfully constructed view (the constructor already ran the
   // same validation). Leaves the zero-copy regime — allocates freely.
@@ -101,6 +198,9 @@ class MessageView {
   std::uint16_t qdcount_ = 0, ancount_ = 0, nscount_ = 0, arcount_ = 0;
 
   std::size_t qname_offset_ = 0;
+  std::size_t answers_offset_ = 0;
+  std::size_t authorities_offset_ = 0;
+  std::size_t additional_offset_ = 0;
   RRType qtype_ = RRType::A;
   RRClass qclass_ = RRClass::IN;
 

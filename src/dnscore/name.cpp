@@ -37,6 +37,38 @@ int label_cmp(std::string_view a, std::string_view b) {
   return a.size() < b.size() ? -1 : 1;
 }
 
+// Case-insensitive FNV-1a over packed labels; never returns kHashUnset (0).
+std::uint64_t hash_packed(const std::uint8_t* p, std::size_t size) noexcept {
+  std::uint64_t h = 14695981039346656037ull;
+  for (std::size_t off = 0; off < size;) {
+    const std::size_t len = p[off++];
+    for (std::size_t i = 0; i < len; ++i) {
+      h ^= lower_octet(p[off + i]);
+      h *= 1099511628211ull;
+    }
+    off += len;
+    h ^= 0xff;  // label separator so ("ab","c") != ("a","bc")
+    h *= 1099511628211ull;
+  }
+  return h == 0 ? 0x9e3779b97f4a7c15ull : h;  // keep the unset sentinel free
+}
+
+// Case-insensitive equality of two packed buffers of the same size.
+bool packed_equal(const std::uint8_t* a, const std::uint8_t* b,
+                  std::size_t size) noexcept {
+  // Byte-identical buffers are the overwhelmingly common case (names in the
+  // simulators come from a single spelling), and std::equal vectorizes where
+  // the folding loop cannot.
+  if (std::equal(a, a + size, b)) return true;
+  // Length octets are < 64 and thus fixed points of lower_octet, so the
+  // whole packed buffer — labels and interior length bytes alike — can be
+  // compared through one case-folding pass.
+  for (std::size_t i = 0; i < size; ++i) {
+    if (lower_octet(a[i]) != lower_octet(b[i])) return false;
+  }
+  return true;
+}
+
 // Builds a packed name in a stack buffer during parsing; committed into a
 // Name (and onto the heap, if large) only once the whole name validated.
 struct PackedBuilder {
@@ -380,10 +412,26 @@ Name Name::parent() const {
   return Name{p + skip, packed_size_ - skip, label_count_ - 1u};
 }
 
-Name Name::second_level_domain() const {
-  if (label_count_ <= 2) return *this;
-  const std::size_t off = label_offset(label_count_ - 2);
-  return Name{packed() + off, packed_size_ - off, 2};
+Name Name::suffix(std::size_t labels) const {
+  if (label_count_ <= labels) return *this;
+  const std::size_t off = label_offset(label_count_ - labels);
+  return Name{packed() + off, packed_size_ - off, labels};
+}
+
+std::size_t Name::suffix_hash(std::size_t from_label) const noexcept {
+  const std::size_t off =
+      from_label < label_count_ ? label_offset(from_label) : packed_size_;
+  return static_cast<std::size_t>(hash_packed(packed() + off, packed_size_ - off));
+}
+
+bool Name::suffix_equals(std::size_t from_label, const Name& other) const noexcept {
+  if (from_label > label_count_ || label_count_ - from_label != other.label_count_) {
+    return false;
+  }
+  const std::size_t off =
+      from_label < label_count_ ? label_offset(from_label) : packed_size_;
+  return packed_size_ - off == other.packed_size_ &&
+         packed_equal(packed() + off, other.packed(), other.packed_size_);
 }
 
 Name Name::prepend(std::string_view label) const {
@@ -409,19 +457,7 @@ bool Name::operator==(const Name& other) const noexcept {
   const std::uint64_t ha = hash_.load(std::memory_order_relaxed);
   const std::uint64_t hb = other.hash_.load(std::memory_order_relaxed);
   if (ha != kHashUnset && hb != kHashUnset && ha != hb) return false;
-  const std::uint8_t* a = packed();
-  const std::uint8_t* b = other.packed();
-  // Byte-identical buffers are the overwhelmingly common case (names in the
-  // simulators come from a single spelling), and std::equal vectorizes where
-  // the folding loop cannot.
-  if (std::equal(a, a + packed_size_, b)) return true;
-  // Length octets are < 64 and thus fixed points of lower_octet, so the
-  // whole packed buffer — labels and interior length bytes alike — can be
-  // compared through one case-folding pass.
-  for (std::size_t i = 0; i < packed_size_; ++i) {
-    if (lower_octet(a[i]) != lower_octet(b[i])) return false;
-  }
-  return true;
+  return packed_equal(packed(), other.packed(), packed_size_);
 }
 
 bool Name::operator<(const Name& other) const noexcept {
@@ -439,19 +475,7 @@ bool Name::operator<(const Name& other) const noexcept {
 std::size_t Name::hash() const noexcept {
   const std::uint64_t cached = hash_.load(std::memory_order_relaxed);
   if (cached != kHashUnset) return static_cast<std::size_t>(cached);
-  std::uint64_t h = 14695981039346656037ull;
-  const std::uint8_t* p = packed();
-  for (std::size_t off = 0; off < packed_size_;) {
-    const std::size_t len = p[off++];
-    for (std::size_t i = 0; i < len; ++i) {
-      h ^= lower_octet(p[off + i]);
-      h *= 1099511628211ull;
-    }
-    off += len;
-    h ^= 0xff;  // label separator so ("ab","c") != ("a","bc")
-    h *= 1099511628211ull;
-  }
-  if (h == kHashUnset) h = 0x9e3779b97f4a7c15ull;  // keep the sentinel free
+  const std::uint64_t h = hash_packed(packed(), packed_size_);
   hash_.store(h, std::memory_order_relaxed);
   return static_cast<std::size_t>(h);
 }

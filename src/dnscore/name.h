@@ -144,7 +144,18 @@ class Name {
   // The two most senior labels, e.g. "cnn.com" for "edition.cnn.com"; used
   // for the paper's SLD statistics. Returns the name itself if it has fewer
   // than two labels.
-  Name second_level_domain() const;
+  Name second_level_domain() const { return suffix(2); }
+
+  // The `labels` most senior labels, e.g. suffix(3) of "a.b.example.com" is
+  // "b.example.com". Returns the name itself if it has fewer labels.
+  Name suffix(std::size_t labels) const;
+
+  // hash() and operator== for the ancestor that starts at label
+  // `from_label` (0 = this name, label_count() = the root), computed in
+  // place. A table keyed by Name can be probed for every ancestor of a name
+  // this way without materializing any of them.
+  std::size_t suffix_hash(std::size_t from_label) const noexcept;
+  bool suffix_equals(std::size_t from_label, const Name& other) const noexcept;
 
   // Prepends one label, e.g. Name("example.com").prepend("www").
   Name prepend(std::string_view label) const;

@@ -1,19 +1,18 @@
 #include "resolver/client.h"
 
 #include "dnscore/message_view.h"
+#include "dnscore/query_writer.h"
 
 namespace ecsdns::resolver {
 
 std::optional<std::vector<std::uint8_t>> StubClient::exchange(
     const IpAddress& server, const Name& qname, RRType qtype,
     const std::optional<dnscore::EcsOption>& ecs) {
-  Message q = Message::make_query(next_id_++, qname, qtype);
-  q.opt = dnscore::OptRecord{};
-  if (ecs) q.set_ecs(*ecs);
   auto query_wire = transport_->pool().acquire();
   {
     dnscore::WireWriter writer(query_wire);
-    q.serialize_into(writer);
+    dnscore::write_query(writer, {.id = next_id_++, .ecs = ecs ? &*ecs : nullptr},
+                         qname, qtype);
   }
   auto wire = transport_->exchange(server, query_wire);
   transport_->pool().release(std::move(query_wire));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "dnscore/query_writer.h"
 #include "netsim/rng.h"
 #include "obs/trace.h"
 
@@ -290,15 +291,19 @@ RecursiveResolver::Resolution RecursiveResolver::resolve(
   for (int restart = 0; restart <= kMaxCnameRestarts; ++restart) {
     // 0. Negative cache (RFC 2308).
     {
-      const auto it = negative_cache_.find(NegativeKey{current.qname, current.qtype});
-      if (it != negative_cache_.end()) {
-        if (it->second.expiry > now) {
+      const NegativeEntry* negative = negative_cache_.find_with(
+          NegativeKeyHash::hash_of(current.qname, current.qtype),
+          [&current](const NegativeKey& k) {
+            return k.qtype == current.qtype && k.qname == current.qname;
+          });
+      if (negative != nullptr) {
+        if (negative->expiry > now) {
           ++counters_.negative_cache_hits;
           metrics_.negative_cache_hits.inc();
-          out.rcode = it->second.rcode;
+          out.rcode = negative->rcode;
           return out;
         }
-        negative_cache_.erase(it);
+        negative_cache_.erase(NegativeKey{current.qname, current.qtype});
       }
     }
     // 1. Cache.
@@ -376,13 +381,20 @@ RecursiveResolver::Resolution RecursiveResolver::resolve(
       out.rcode = RCode::SERVFAIL;
       return out;
     }
-    cache_answer(current, identity, *response, out);
-    out.rcode = response->header.rcode;
-    for (const auto& rr : response->answers) out.answers.push_back(rr);
+    // The answer records are built once: the client gets copies, the cache
+    // the originals.
+    std::vector<ResourceRecord> answers;
+    answers.reserve(response->view.answer_count());
+    for (const auto& rr : response->view.answers()) answers.push_back(rr.to_record());
+    out.rcode = response->view.rcode();
+    out.answers.insert(out.answers.end(), answers.begin(), answers.end());
+    const bool answered = !answers.empty();
+    cache_answer(current, identity, *response, std::move(answers), out);
+    release(response);
 
     // CNAME restart if the answer ends in a dangling CNAME.
-    if (current.qtype != RRType::CNAME && !response->answers.empty()) {
-      const auto& last = response->answers.back();
+    if (current.qtype != RRType::CNAME && answered) {
+      const auto& last = out.answers.back();
       if (last.type == RRType::CNAME) {
         current.qname = std::get<dnscore::CnameRdata>(last.rdata).target;
         ++counters_.cname_restarts;
@@ -397,102 +409,153 @@ RecursiveResolver::Resolution RecursiveResolver::resolve(
 }
 
 void RecursiveResolver::note_rtt(const IpAddress& server, double sample_us) {
-  auto [it, inserted] = srtt_us_.try_emplace(server, sample_us);
-  if (!inserted) it->second = 0.7 * it->second + 0.3 * sample_us;
-}
-
-std::vector<IpAddress> RecursiveResolver::order_by_srtt(
-    std::vector<IpAddress> servers) const {
-  // Unknown servers sort ahead of anything slower than 10 ms so they get
-  // probed; a stable sort keeps referral order among ties.
-  const auto score = [this](const IpAddress& s) {
-    const auto it = srtt_us_.find(s);
-    return it == srtt_us_.end() ? 10'000.0 : it->second;
-  };
-  std::stable_sort(servers.begin(), servers.end(),
-                   [&score](const IpAddress& a, const IpAddress& b) {
-                     return score(a) < score(b);
-                   });
-  return servers;
-}
-
-RecursiveResolver::NsSet RecursiveResolver::nameservers_for(const Name& qname) {
-  // Deepest cached delegation wins.
-  Name walk = qname;
-  const SimTime now = network_.now();
-  for (;;) {
-    const auto it = ns_cache_.find(walk);
-    if (it != ns_cache_.end() && it->second.expiry > now &&
-        !it->second.addresses.empty()) {
-      return NsSet{walk, it->second.addresses};
-    }
-    if (walk.is_root()) break;
-    walk = walk.parent();
+  if (double* srtt = srtt_us_.find(server)) {
+    *srtt = 0.7 * *srtt + 0.3 * sample_us;
+  } else {
+    srtt_us_.insert_or_assign(server, sample_us);
   }
-  return NsSet{Name{}, root_hints_};
 }
 
-void RecursiveResolver::cache_referral(const Message& response) {
+void RecursiveResolver::order_by_srtt(std::span<const IpAddress> servers,
+                                      ServerList& out) const {
+  // Unknown servers sort ahead of anything slower than 10 ms so they get
+  // probed. The insertion sort is stable, so ties keep referral order.
+  std::array<double, kMaxServersPerHop> scores;
+  out.count = 0;
+  const std::size_t tried = std::min(servers.size(), kMaxServersPerHop);
+  for (const IpAddress& server : servers.first(tried)) {
+    const double* srtt = srtt_us_.find(server);
+    const double score = srtt == nullptr ? 10'000.0 : *srtt;
+    std::size_t i = out.count++;
+    for (; i > 0 && scores[i - 1] > score; --i) {
+      scores[i] = scores[i - 1];
+      out.servers[i] = out.servers[i - 1];
+    }
+    scores[i] = score;
+    out.servers[i] = server;
+  }
+}
+
+RecursiveResolver::NsSet RecursiveResolver::nameservers_for(const Name& qname) const {
+  // Deepest cached delegation wins. Each ancestor of qname is probed in
+  // place, longest first, without building its Name.
   const SimTime now = network_.now();
-  for (const auto& ns : response.authorities) {
-    if (ns.type != RRType::NS) continue;
-    NsEntry& entry = ns_cache_[ns.name];
-    entry.expiry = now + static_cast<SimTime>(ns.ttl) * netsim::kSecond;
-    const auto& target = std::get<dnscore::NsRdata>(ns.rdata).nameserver;
-    for (const auto& glue : response.additional) {
-      if (glue.name != target) continue;
-      if (const auto* a = std::get_if<dnscore::ARdata>(&glue.rdata)) {
-        if (std::find(entry.addresses.begin(), entry.addresses.end(), a->address) ==
-            entry.addresses.end()) {
-          entry.addresses.push_back(a->address);
-        }
+  const std::size_t labels = qname.label_count();
+  for (std::size_t from = 0; from <= labels; ++from) {
+    const NsEntry* entry = ns_cache_.find_with(
+        qname.suffix_hash(from),
+        [&](const Name& zone) { return qname.suffix_equals(from, zone); });
+    if (entry != nullptr && entry->expiry > now && !entry->addresses.empty()) {
+      return NsSet{labels - from, entry->addresses};
+    }
+  }
+  return NsSet{0, root_hints_};
+}
+
+void RecursiveResolver::cache_referral(const dnscore::MessageView& response) {
+  const SimTime now = network_.now();
+  for (const auto& ns : response.authorities()) {
+    if (ns.type() != RRType::NS) continue;
+    NsEntry& entry = ns_cache_[ns.owner()];
+    entry.expiry = now + static_cast<SimTime>(ns.ttl()) * netsim::kSecond;
+    const Name target = ns.rdata_name();
+    for (const auto& glue : response.additional()) {
+      if (glue.type() != RRType::A || glue.owner() != target) continue;
+      const auto a = glue.rdata();
+      const IpAddress address = IpAddress::v4(a[0], a[1], a[2], a[3]);
+      if (std::find(entry.addresses.begin(), entry.addresses.end(), address) ==
+          entry.addresses.end()) {
+        entry.addresses.push_back(address);
       }
     }
   }
 }
 
-std::optional<Message> RecursiveResolver::query_authoritatives(
-    const Question& question, const ClientIdentity& identity) {
+std::optional<RecursiveResolver::UpstreamResponse> RecursiveResolver::accept_response(
+    std::optional<std::vector<std::uint8_t>> wire, const SentQuery& sent) {
+  if (!wire) return std::nullopt;  // timeout
+  std::optional<UpstreamResponse> out;
+  try {
+    const dnscore::MessageView view({wire->data(), wire->size()});
+    // RFC 5452 §9-10: only a response to the query we sent is accepted;
+    // anything else may be a spoofing attempt and is dropped.
+    const bool matches = view.qr() && view.id() == sent.id &&
+                         view.question_count() == 1 && view.qtype() == sent.qtype &&
+                         view.qclass() == dnscore::RRClass::IN &&
+                         view.qname() == sent.qname;
+    if (matches) {
+      const dnscore::EcsOption* ecs = nullptr;
+      if (view.has_ecs()) {
+        upstream_ecs_.assign_from_payload(view.ecs_payload());
+        ecs = &upstream_ecs_;
+      }
+      out.emplace(UpstreamResponse{std::move(*wire), view, ecs, classify(view)});
+    }
+  } catch (const dnscore::WireFormatError&) {
+  }
+  if (!out) network_.buffer_pool().release(std::move(*wire));
+  return out;
+}
+
+void RecursiveResolver::release(std::optional<UpstreamResponse>& response) {
+  if (!response) return;
+  network_.buffer_pool().release(std::move(response->wire));
+  response.reset();
+}
+
+RecursiveResolver::ResponseKind RecursiveResolver::classify(
+    const dnscore::MessageView& view) {
+  if (view.rcode() == RCode::NXDOMAIN) return ResponseKind::kNxDomain;
+  if (view.rcode() != RCode::NOERROR) return ResponseKind::kError;
+  if (view.answer_count() > 0) return ResponseKind::kAnswer;
+  // A referral has NS records in the authority section; a NoData answer
+  // carries at most an SOA there.
+  for (const auto& rr : view.authorities()) {
+    if (rr.type() == RRType::NS) return ResponseKind::kReferral;
+  }
+  return ResponseKind::kNoData;
+}
+
+std::optional<RecursiveResolver::UpstreamResponse>
+RecursiveResolver::query_authoritatives(const Question& question,
+                                        const ClientIdentity& identity) {
   for (int hop = 0; hop < kMaxReferrals; ++hop) {
     const NsSet ns_set = nameservers_for(question.qname);
-    const std::vector<IpAddress> servers = order_by_srtt(ns_set.addresses);
-    if (servers.empty()) return std::nullopt;
+    ServerList servers;
+    order_by_srtt(ns_set.addresses, servers);
+    if (servers.count == 0) return std::nullopt;
 
     // ECS belongs on queries to the servers of the content zone, not on
     // infrastructure hops: roots (zone depth 0) and TLDs (depth 1) are
     // skipped unless the resolver exhibits the §6.1 root-ECS violation.
-    const bool infrastructure_hop = ns_set.zone.label_count() < 2;
+    const bool infrastructure_hop = ns_set.zone_labels < 2;
 
     // QNAME minimization (RFC 7816): infrastructure hops only learn the
     // next delegation label, asked for as an NS query.
-    Name send_qname = question.qname;
-    RRType send_qtype = question.qtype;
+    std::optional<Name> minimized;
     if (config_.qname_minimization && infrastructure_hop &&
-        question.qname.label_count() > ns_set.zone.label_count() + 1) {
+        question.qname.label_count() > ns_set.zone_labels + 1) {
       // The minimal name is the delegation zone plus one more label.
-      send_qname = ns_set.zone.prepend(question.qname.label(
-          question.qname.label_count() - ns_set.zone.label_count() - 1));
-      send_qtype = RRType::NS;
+      minimized = question.qname.suffix(ns_set.zone_labels + 1);
     }
+    const SentQuery sent{next_id_++, minimized ? *minimized : question.qname,
+                         minimized ? RRType::NS : question.qtype};
 
-    Message query = Message::make_query(next_id_++, send_qname, send_qtype);
-    query.header.rd = false;
-    query.opt = dnscore::OptRecord{};
     const auto ecs = upstream_ecs(question, identity, infrastructure_hop,
                                   /*cache_missed=*/true);
-    if (ecs) query.set_ecs(*ecs);
-
-    // One serialization per hop, reused across every server candidate and
-    // the TCP retry (the bytes are identical); the buffer itself is
-    // recycled through the network's pool.
+    // One encoding per hop, reused across every server candidate and the
+    // TCP retry (the bytes are identical); the buffer itself is recycled
+    // through the network's pool.
     auto query_wire = network_.buffer_pool().acquire();
     {
       dnscore::WireWriter writer(query_wire);
-      query.serialize_into(writer);
+      dnscore::write_query(writer,
+                           {.id = sent.id, .rd = false, .ecs = ecs ? &*ecs : nullptr},
+                           sent.qname, sent.qtype);
     }
 
-    std::optional<Message> response;
-    for (const auto& server : servers) {
+    std::optional<UpstreamResponse> response;
+    for (const IpAddress& server : servers.span()) {
       ++counters_.upstream_queries;
       metrics_.upstream_queries.inc();
       if (ecs) {
@@ -503,128 +566,97 @@ std::optional<Message> RecursiveResolver::query_authoritatives(
       if (tracer.enabled()) {
         tracer.record({network_.now(), obs::TraceKind::kUpstreamQuery,
                        own_address_, server, 0,
-                       send_qname.to_string() +
+                       sent.qname.to_string() +
                            (ecs ? " " + ecs->to_string() : std::string{})});
       }
       const SimTime sent_at = network_.now();
       auto wire = network_.round_trip(own_address_, server, query_wire);
       note_rtt(server, static_cast<double>(network_.now() - sent_at));
-      if (!wire) continue;  // timeout: try the next address
-      bool parsed = true;
-      try {
-        response = Message::parse({wire->data(), wire->size()});
-      } catch (const dnscore::WireFormatError&) {
-        parsed = false;
-      }
-      network_.buffer_pool().release(std::move(*wire));
-      if (!parsed) continue;
-      if (response->header.tc) {
-        // Truncated over UDP: retry the same server over TCP.
+      response = accept_response(std::move(wire), sent);
+      if (response && response->view.tc()) {
+        // Truncated over UDP: retry the same server over TCP. A TCP retry
+        // that fails is a failed exchange with this server.
+        release(response);
         ++counters_.upstream_queries;
         metrics_.upstream_queries.inc();
-        auto tcp_wire = network_.round_trip(own_address_, server, query_wire,
-                                            /*tcp=*/true);
-        if (tcp_wire) {
-          try {
-            response = Message::parse({tcp_wire->data(), tcp_wire->size()});
-          } catch (const dnscore::WireFormatError&) {
-            response.reset();
-            parsed = false;
-          }
-          network_.buffer_pool().release(std::move(*tcp_wire));
-          if (!parsed) continue;
-        }
+        response = accept_response(
+            network_.round_trip(own_address_, server, query_wire, /*tcp=*/true), sent);
       }
-      if (response->header.rcode == RCode::FORMERR && query.opt) {
+      if (response && response->view.rcode() == RCode::FORMERR) {
         // RFC 6891 §6.2.2 fallback: a pre-EDNS server choked on the OPT
-        // record (§6.1 cites these); retry the same server plain.
+        // record (§6.1 cites these); retry the same server plain. A plain
+        // retry that fails is a failed exchange with this server.
+        release(response);
         ++counters_.edns_fallbacks;
         metrics_.edns_fallbacks.inc();
-        Message plain = query;
-        plain.opt.reset();
         ++counters_.upstream_queries;
         metrics_.upstream_queries.inc();
         auto plain_wire = network_.buffer_pool().acquire();
         {
           dnscore::WireWriter writer(plain_wire);
-          plain.serialize_into(writer);
+          dnscore::write_query(writer, {.id = sent.id, .rd = false, .edns = false},
+                               sent.qname, sent.qtype);
         }
         auto retry_wire = network_.round_trip(own_address_, server, plain_wire);
         network_.buffer_pool().release(std::move(plain_wire));
-        if (retry_wire) {
-          try {
-            response = Message::parse({retry_wire->data(), retry_wire->size()});
-          } catch (const dnscore::WireFormatError&) {
-            response.reset();
-            parsed = false;
-          }
-          network_.buffer_pool().release(std::move(*retry_wire));
-          if (!parsed) continue;
-        }
+        response = accept_response(std::move(retry_wire), sent);
       }
-      break;
+      if (response) break;
     }
     network_.buffer_pool().release(std::move(query_wire));
     if (!response) return std::nullopt;
 
-    if (!response->answers.empty() || response->header.rcode != RCode::NOERROR) {
-      return response;
-    }
-    // A referral has NS records in the authority section; a NoData answer
-    // carries at most an SOA there.
-    const bool is_referral = std::any_of(
-        response->authorities.begin(), response->authorities.end(),
-        [](const dnscore::ResourceRecord& rr) { return rr.type == RRType::NS; });
-    if (is_referral) {
-      ++counters_.referrals_followed;
-      metrics_.referrals_followed.inc();
-      cache_referral(*response);
-      continue;  // descend to the delegated servers
-    }
-    return response;  // authoritative NoData
+    if (response->kind != ResponseKind::kReferral) return response;
+    ++counters_.referrals_followed;
+    metrics_.referrals_followed.inc();
+    cache_referral(response->view);
+    release(response);  // descend to the delegated servers
   }
   return std::nullopt;
 }
 
 void RecursiveResolver::cache_answer(const Question& question,
                                      const ClientIdentity& identity,
-                                     const Message& response, Resolution& out) {
+                                     const UpstreamResponse& response,
+                                     std::vector<ResourceRecord> answers,
+                                     Resolution& out) {
+  const dnscore::MessageView& view = response.view;
   // Negative results go into the RFC 2308 cache; the TTL comes from the
   // authority SOA minimum when present.
-  if (response.header.rcode == RCode::NXDOMAIN ||
-      (response.header.rcode == RCode::NOERROR && response.answers.empty())) {
+  if (response.kind == ResponseKind::kNxDomain ||
+      response.kind == ResponseKind::kNoData) {
     SimTime neg_ttl = 60 * netsim::kSecond;
-    for (const auto& rr : response.authorities) {
-      if (const auto* soa = std::get_if<dnscore::SoaRdata>(&rr.rdata)) {
-        neg_ttl = static_cast<SimTime>(
-                      std::min<std::uint32_t>(rr.ttl, soa->minimum)) *
-                  netsim::kSecond;
-      }
+    for (const auto& rr : view.authorities()) {
+      if (rr.type() != RRType::SOA) continue;
+      const ResourceRecord soa = rr.to_record();
+      const std::uint32_t minimum = std::get<dnscore::SoaRdata>(soa.rdata).minimum;
+      neg_ttl = static_cast<SimTime>(std::min(soa.ttl, minimum)) * netsim::kSecond;
     }
     if (!caching_disabled_for(question.qname) && neg_ttl > 0) {
       negative_cache_[NegativeKey{question.qname, question.qtype}] =
-          NegativeEntry{response.header.rcode, network_.now() + neg_ttl};
+          NegativeEntry{view.rcode(), network_.now() + neg_ttl};
     }
     return;
   }
-  if (response.header.rcode != RCode::NOERROR || response.answers.empty()) return;
+  if (response.kind != ResponseKind::kAnswer) return;
+  const dnscore::EcsOption* ecs = response.ecs;
   if (caching_disabled_for(question.qname)) {
-    if (auto ecs = response.ecs()) out.echo_scope = ecs->scope_prefix_length();
+    if (ecs) out.echo_scope = ecs->scope_prefix_length();
     return;
   }
   const SimTime now = network_.now();
-  const auto ttl_s = response.min_answer_ttl().value_or(0);
+  std::uint32_t ttl_s = answers.front().ttl;
+  for (const auto& rr : answers) ttl_s = std::min(ttl_s, rr.ttl);
   const SimTime ttl = static_cast<SimTime>(ttl_s) * netsim::kSecond;
   if (ttl <= 0) return;
 
-  const auto ecs = response.ecs();
   const int family_cap =
       identity.address.is_v4() ? config_.max_cache_prefix_v4 : config_.max_cache_prefix_v6;
 
   if (!ecs || config_.scope_handling == ScopeHandling::kIgnoreScope) {
     // No ECS in the response, or a resolver that disregards scope: one
     // global entry serves every client.
-    cache_.insert(question.qname, question.qtype, Prefix{}, 0, response.answers, now,
+    cache_.insert(question.qname, question.qtype, Prefix{}, 0, std::move(answers), now,
                   ttl);
     if (ecs) out.echo_scope = ecs->scope_prefix_length();
     return;
@@ -647,7 +679,7 @@ void RecursiveResolver::cache_answer(const Question& question,
       out.echo_scope = 0;
       return;
     }
-    cache_.insert(question.qname, question.qtype, Prefix{}, 0, response.answers, now,
+    cache_.insert(question.qname, question.qtype, Prefix{}, 0, std::move(answers), now,
                   ttl);
     out.echo_scope = 0;
     return;
@@ -660,7 +692,7 @@ void RecursiveResolver::cache_answer(const Question& question,
                                   identity.address.bit_length()});
   const Prefix network{identity.address, effective};
   cache_.insert(question.qname, question.qtype, network,
-                static_cast<std::uint8_t>(effective), response.answers, now, ttl);
+                static_cast<std::uint8_t>(effective), std::move(answers), now, ttl);
   out.echo_scope = effective;
 }
 

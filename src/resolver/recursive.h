@@ -7,14 +7,18 @@
 // the paper catalogs — when talking to authoritative servers.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "dnscore/flat_hash.h"
 #include "dnscore/hashing.h"
 #include "dnscore/message.h"
+#include "dnscore/message_view.h"
 #include "netsim/network.h"
 #include "obs/metrics.h"
 #include "resolver/cache.h"
@@ -95,17 +99,59 @@ class RecursiveResolver {
   std::optional<ClientIdentity> self_identity() const;
 
   Resolution resolve(const Question& question, const ClientIdentity& identity);
-  // One iterative descent for a single owner name (no CNAME restarts).
-  std::optional<Message> query_authoritatives(const Question& question,
-                                              const ClientIdentity& identity);
-  struct NsSet {
-    dnscore::Name zone;  // the delegation point these servers cover
-    std::vector<IpAddress> addresses;
+
+  // What an accepted upstream response tells the descent.
+  enum class ResponseKind { kAnswer, kReferral, kNoData, kNxDomain, kError };
+  // An accepted upstream response, read in place: the pooled wire buffer
+  // and a view over it (a moved vector keeps its heap block, so the view
+  // survives moves of this struct). Whoever ends up holding it releases
+  // `wire` back to the network's pool.
+  struct UpstreamResponse {
+    std::vector<std::uint8_t> wire;
+    dnscore::MessageView view;
+    // The response's ECS option, decoded into upstream_ecs_; null if absent.
+    const dnscore::EcsOption* ecs = nullptr;
+    ResponseKind kind = ResponseKind::kError;
   };
-  NsSet nameservers_for(const dnscore::Name& qname);
-  void cache_referral(const Message& response);
+  // The query a response must answer (RFC 5452 §9-10 acceptance).
+  struct SentQuery {
+    std::uint16_t id = 0;
+    const dnscore::Name& qname;
+    RRType qtype = RRType::A;
+  };
+  // One iterative descent for a single owner name (no CNAME restarts).
+  // Returns an answer, NoData, NXDOMAIN or error response; nullopt when
+  // every server failed or the referral chain ran too deep.
+  std::optional<UpstreamResponse> query_authoritatives(const Question& question,
+                                                       const ClientIdentity& identity);
+  // Validates a round trip's result against `sent`. Timeouts, malformed
+  // responses and responses that do not answer `sent` are failed
+  // exchanges: nullopt, with the buffer returned to the pool.
+  std::optional<UpstreamResponse> accept_response(
+      std::optional<std::vector<std::uint8_t>> wire, const SentQuery& sent);
+  void release(std::optional<UpstreamResponse>& response);
+  // Answer, NXDOMAIN and error go back to the client, a referral is
+  // followed, NoData ends the descent.
+  static ResponseKind classify(const dnscore::MessageView& view);
+
+  // Servers tried per hop; a referral's addresses beyond this many (in
+  // referral order) are never tried.
+  static constexpr std::size_t kMaxServersPerHop = 16;
+  struct NsSet {
+    std::size_t zone_labels = 0;  // depth of the delegation these cover
+    // Points into ns_cache_ (or root_hints_): valid until ns_cache_ changes.
+    std::span<const IpAddress> addresses;
+  };
+  struct ServerList {
+    std::array<IpAddress, kMaxServersPerHop> servers;
+    std::size_t count = 0;
+    std::span<const IpAddress> span() const noexcept { return {servers.data(), count}; }
+  };
+  NsSet nameservers_for(const dnscore::Name& qname) const;
+  void cache_referral(const dnscore::MessageView& response);
   void cache_answer(const Question& question, const ClientIdentity& identity,
-                    const Message& response, Resolution& out);
+                    const UpstreamResponse& response,
+                    std::vector<dnscore::ResourceRecord> answers, Resolution& out);
   bool name_matches_probe_list(const dnscore::Name& qname) const;
   bool zone_whitelisted(const dnscore::Name& qname) const;
   bool caching_disabled_for(const dnscore::Name& qname) const;
@@ -120,7 +166,10 @@ class RecursiveResolver {
     std::vector<IpAddress> addresses;
     SimTime expiry = 0;
   };
-  std::unordered_map<dnscore::Name, NsEntry, dnscore::NameHash> ns_cache_;
+  dnscore::FlatHashMap<dnscore::Name, NsEntry, dnscore::NameHash> ns_cache_;
+  // ECS option of the most recently accepted upstream response, decoded in
+  // place so its address buffer is reused from one response to the next.
+  dnscore::EcsOption upstream_ecs_;
 
   // Negative cache (RFC 2308): NXDOMAIN / NoData answers are remembered so
   // repeated misses do not hammer the authoritatives. Negative answers are
@@ -131,16 +180,20 @@ class RecursiveResolver {
     bool operator==(const NegativeKey&) const = default;
   };
   struct NegativeKeyHash {
+    // Shared with the lookup in resolve(), which probes by (qname, qtype)
+    // without copying the name into a key.
+    static std::size_t hash_of(const dnscore::Name& qname, RRType qtype) noexcept {
+      return dnscore::hash_combine(qname.hash(), static_cast<std::size_t>(qtype));
+    }
     std::size_t operator()(const NegativeKey& k) const noexcept {
-      return dnscore::hash_combine(k.qname.hash(),
-                                   static_cast<std::size_t>(k.qtype));
+      return hash_of(k.qname, k.qtype);
     }
   };
   struct NegativeEntry {
     dnscore::RCode rcode = dnscore::RCode::NXDOMAIN;
     SimTime expiry = 0;
   };
-  std::unordered_map<NegativeKey, NegativeEntry, NegativeKeyHash> negative_cache_;
+  dnscore::FlatHashMap<NegativeKey, NegativeEntry, NegativeKeyHash> negative_cache_;
 
   // Per-SLD learned authoritative scope (adapt_source_to_scope extension).
   std::unordered_map<dnscore::Name, int, dnscore::NameHash> learned_scope_;
@@ -170,9 +223,9 @@ class RecursiveResolver {
   // timeouts penalize heavily. Only meaningful when the network runs in
   // serial-clock mode; otherwise every sample is 0 and selection degrades
   // gracefully to referral order.
-  std::unordered_map<IpAddress, double, dnscore::IpAddressHash> srtt_us_;
+  dnscore::FlatHashMap<IpAddress, double, dnscore::IpAddressHash> srtt_us_;
   void note_rtt(const IpAddress& server, double sample_us);
-  std::vector<IpAddress> order_by_srtt(std::vector<IpAddress> servers) const;
+  void order_by_srtt(std::span<const IpAddress> servers, ServerList& out) const;
 };
 
 }  // namespace ecsdns::resolver

@@ -13,9 +13,11 @@
 #include "dnscore/ecs.h"
 #include "dnscore/message.h"
 #include "dnscore/message_view.h"
+#include "dnscore/query_writer.h"
 #include "dnscore/wire.h"
 #include "live/client.h"
 #include "live/udp_server.h"
+#include "measurement/testbed.h"
 #include "netsim/buffer_pool.h"
 #include "netsim/socket.h"
 #include "obs/alloc_counter.h"
@@ -110,6 +112,105 @@ TEST(MessageViewNoalloc, ConstructionIsAllocationFree) {
     ASSERT_EQ(view.ecs_payload().size(), 0u);
   }
   EXPECT_EQ(allocs(), before) << "MessageView construction allocated";
+}
+
+// The query writer encodes straight into a pooled buffer: once the
+// buffer's capacity has converged, writing a query with ECS allocates
+// nothing.
+TEST(QueryWriterNoalloc, PooledWriteSteadyStateIsAllocationFree) {
+  const Name qname = Name::from_string("www.noalloc.example");
+  const auto ecs =
+      dnscore::EcsOption::for_query(dnscore::Prefix::parse("198.51.100.0/24"));
+  BufferPool pool;
+  auto buf = pool.acquire();
+  {
+    WireWriter w(buf);
+    dnscore::write_query(w, {.id = 1, .ecs = &ecs}, qname, RRType::A);
+  }
+  const auto before = allocs();
+  for (int i = 0; i < 50; ++i) {
+    pool.release(std::move(buf));
+    buf = pool.acquire();
+    WireWriter w(buf);
+    const auto id = static_cast<std::uint16_t>(i);
+    dnscore::write_query(w, {.id = id, .rd = false, .ecs = &ecs}, qname, RRType::A);
+  }
+  EXPECT_EQ(allocs(), before) << "steady-state query writing allocated";
+}
+
+// The record walk decodes each record's fixed fields in place: walking
+// every section of a referral-shaped response allocates nothing.
+TEST(MessageViewNoalloc, RecordWalkIsAllocationFree) {
+  const Name zone = Name::from_string("noalloc.example");
+  Message m = Message::make_response(
+      Message::make_query(9, zone.prepend("www"), RRType::A));
+  m.answers.push_back(dnscore::ResourceRecord::make_cname(zone.prepend("www"), 30,
+                                                          zone.prepend("edge")));
+  m.authorities.push_back(
+      dnscore::ResourceRecord::make_ns(zone, 3600, zone.prepend("ns1")));
+  m.additional.push_back(dnscore::ResourceRecord::make_a(
+      zone.prepend("ns1"), 3600, dnscore::IpAddress::v4(192, 0, 2, 53)));
+  m.set_ecs(dnscore::EcsOption::for_response(
+      dnscore::Prefix::parse("198.51.100.0/24"), 24));
+  const std::vector<std::uint8_t> wire = m.serialize();
+  const MessageView view(wire);
+  const auto before = allocs();
+  std::uint64_t ttls = 0;
+  std::size_t a_rdata = 0;
+  for (int i = 0; i < 50; ++i) {
+    for (const auto& rr : view.answers()) ttls += rr.ttl();
+    for (const auto& rr : view.authorities()) ttls += rr.ttl();
+    for (const auto& rr : view.additional()) {
+      ttls += rr.ttl();
+      if (rr.type() == RRType::A) a_rdata += rr.rdata().size();
+    }
+  }
+  EXPECT_EQ(allocs(), before) << "record walk allocated";
+  // One record per section; the OPT record is not part of the walk.
+  EXPECT_EQ(ttls, 50u * (30 + 3600 + 3600));
+  EXPECT_EQ(a_rdata, 50u * 4);
+}
+
+// A cache miss through RecursiveResolver with a warm NS cache: the upstream
+// query is written into a pooled buffer and the response triaged through
+// MessageView, so what is left is building the answer and the reply. The
+// count is pinned exactly; a change that moves it must update the pin and
+// this list:
+//   1. the ECS option's address bytes (EcsOption::for_query),
+//   2. the answer records built from the view,
+//   3. the client's copy of them,
+//   4-5. the cache's length bucket and its table (the cache was cleared),
+//   6. the reply's question section (Message::make_response).
+// The same miss made 22 allocations when the upstream path built and
+// parsed full Messages.
+TEST(ResolverAllocations, WarmNsCacheMissAllocationCountIsPinned) {
+  measurement::Testbed bed;
+  authoritative::AuthConfig config;
+  config.log_queries = false;  // log appends allocate by design
+  const auto zone = Name::from_string("noalloc.example");
+  auto& auth = bed.add_auth("auth", zone, "Ashburn",
+                            std::make_unique<authoritative::ScopeDeltaPolicy>(0), config);
+  auth.find_zone(zone)->add(dnscore::ResourceRecord::make_a(
+      zone.prepend("www"), 60, dnscore::IpAddress::v4(203, 0, 113, 10)));
+  auto& resolver = bed.add_resolver(resolver::ResolverConfig::correct(), "Chicago");
+  bed.network().set_advance_clock(false);
+  const Message q = Message::make_query(1, zone.prepend("www"), RRType::A);
+  const auto client = dnscore::IpAddress::v4(100, 64, 1, 5);
+
+  ASSERT_TRUE(resolver.handle_client_query(q, client).has_value());  // warm NS cache
+  std::vector<std::uint64_t> per_miss;
+  for (int i = 0; i < 40; ++i) {
+    resolver.cache().clear();  // the next query misses; NS cache stays warm
+    const auto upstream = resolver.counters().upstream_queries;
+    const auto before = allocs();
+    const auto response = resolver.handle_client_query(q, client);
+    const auto after = allocs();
+    ASSERT_TRUE(response.has_value());
+    ASSERT_EQ(response->answers.size(), 1u);
+    ASSERT_EQ(resolver.counters().upstream_queries, upstream + 1);
+    if (i >= 8) per_miss.push_back(after - before);  // after pools converge
+  }
+  for (const std::uint64_t n : per_miss) EXPECT_EQ(n, 6u);
 }
 
 // The live-wire steady state: a ServerShard driving recv -> serve_wire ->

@@ -3,9 +3,12 @@
 // the scope<=source stipulation.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "authoritative/ecs_policy.h"
 #include "authoritative/server.h"
 #include "measurement/testbed.h"
+#include "scripted_service.h"
 
 namespace ecsdns::resolver {
 namespace {
@@ -47,6 +50,76 @@ TEST(ResolverFailures, EdnsFallbackOnFormErr) {
   EXPECT_EQ(r.header.rcode, RCode::NOERROR);
   EXPECT_EQ(r.first_address(), IpAddress::parse("1.1.1.1"));
   EXPECT_GE(resolver.counters().edns_fallbacks, 1u);
+}
+
+// The plain retry after a FORMERR is an exchange like any other: when it
+// times out, the server failed, and the client must not be handed the
+// FORMERR that answered the EDNS query.
+TEST(ResolverFailures, TimedOutPlainRetryFailsTheExchange) {
+  Testbed bed;
+  auto& auth = bed.add_auth("legacy", n("legacy.com"), "Ashburn",
+                            std::make_unique<ScopeDeltaPolicy>(0));
+  auth.find_zone(n("legacy.com"))
+      ->add(ResourceRecord::make_a(n("www.legacy.com"), 60,
+                                   IpAddress::parse("1.1.1.1")));
+  auto& resolver = bed.add_resolver(ResolverConfig::correct(), "Chicago");
+  // FORMERRs every EDNS query and drops every plain one.
+  testing::script_server(bed, auth, [](const Message& query, bool) {
+    std::optional<Message> response;
+    if (!query.opt) return response;
+    response = Message::make_response(query);
+    response->opt.reset();
+    response->header.rcode = RCode::FORMERR;
+    return response;
+  });
+  EXPECT_EQ(ask(resolver, "www.legacy.com").header.rcode, RCode::SERVFAIL);
+  EXPECT_EQ(resolver.counters().edns_fallbacks, 1u);
+
+  auth.attach(bed.network(), bed.auth_address(auth),
+              bed.world().city("Ashburn").location);
+  const Message r = ask(resolver, "www.legacy.com");
+  EXPECT_EQ(r.header.rcode, RCode::NOERROR);
+  EXPECT_EQ(r.first_address(), IpAddress::parse("1.1.1.1"));
+}
+
+// RFC 5452 §9-10: a response is accepted only if it answers the query that
+// was sent — same ID, QR set, same question. Anything else is dropped as a
+// failed exchange, so a forged answer is neither served nor cached.
+TEST(ResolverFailures, MismatchedResponsesAreDropped) {
+  using Forge = std::function<void(Message&)>;
+  const std::vector<std::pair<const char*, Forge>> forgeries = {
+      {"id", [](Message& m) { m.header.id ^= 1; }},
+      {"qr", [](Message& m) { m.header.qr = false; }},
+      {"qname", [](Message& m) { m.questions[0].qname = n("evil.example.com"); }},
+      {"qtype", [](Message& m) { m.questions[0].qtype = dnscore::RRType::AAAA; }},
+      {"qclass", [](Message& m) { m.questions[0].qclass = dnscore::RRClass::CH; }},
+      {"question", [](Message& m) { m.questions.clear(); }},
+      {"none", [](Message&) {}},  // control: the unforged answer is accepted
+  };
+  for (const auto& [what, forge] : forgeries) {
+    SCOPED_TRACE(what);
+    Testbed bed;
+    auto& auth = bed.add_auth("auth", n("example.com"), "Ashburn",
+                              std::make_unique<ScopeDeltaPolicy>(0));
+    auto& resolver = bed.add_resolver(ResolverConfig::correct(), "Chicago");
+    testing::script_server(bed, auth, [&forge](const Message& query, bool) {
+      std::optional<Message> response = Message::make_response(query);
+      response->header.aa = true;
+      response->answers.push_back(ResourceRecord::make_a(
+          query.question().qname, 60, IpAddress::parse("6.6.6.6")));
+      forge(*response);
+      return response;
+    });
+    const Message r = ask(resolver, "www.example.com");
+    if (std::string(what) == "none") {
+      EXPECT_EQ(r.header.rcode, RCode::NOERROR);
+      EXPECT_EQ(r.first_address(), IpAddress::parse("6.6.6.6"));
+      continue;
+    }
+    EXPECT_EQ(r.header.rcode, RCode::SERVFAIL);
+    EXPECT_TRUE(r.answers.empty());
+    EXPECT_EQ(resolver.cache().size(), 0u);
+  }
 }
 
 TEST(ResolverFailures, SilentEcsDropEndsInServfail) {

@@ -3,6 +3,7 @@
 
 #include "authoritative/ecs_policy.h"
 #include "measurement/testbed.h"
+#include "scripted_service.h"
 
 namespace ecsdns::resolver {
 namespace {
@@ -95,6 +96,39 @@ TEST(Truncation, ResolverRetriesOverTcpTransparently) {
   EXPECT_EQ(r->header.rcode, RCode::NOERROR);
   EXPECT_EQ(r->answers.size(), 300u);
   EXPECT_FALSE(r->header.tc);
+}
+
+// A TCP retry that times out is a failed exchange with that server. It must
+// not turn the truncated UDP answer into the final response: that answer is
+// empty, so it would pass for authoritative NoData and be negative-cached.
+TEST(Truncation, TimedOutTcpRetryFailsTheExchange) {
+  Testbed bed;
+  auto& auth = bed.add_auth("fat", n("fat.com"), "Ashburn",
+                            std::make_unique<ScopeDeltaPolicy>(0));
+  add_fat_answer(auth, 3);
+  auto& resolver = bed.add_resolver(ResolverConfig::correct(), "Chicago");
+  // Sets TC on every UDP answer and drops every TCP connection.
+  testing::script_server(bed, auth, [](const Message& query, bool via_tcp) {
+    std::optional<Message> response;
+    if (via_tcp) return response;
+    response = Message::make_response(query);
+    response->header.tc = true;
+    return response;
+  });
+  Message q = Message::make_query(1, n("big.fat.com"), dnscore::RRType::A);
+  const auto client = IpAddress::parse("100.64.1.5");
+  const auto failed = resolver.handle_client_query(q, client);
+  ASSERT_TRUE(failed.has_value());
+  EXPECT_EQ(failed->header.rcode, RCode::SERVFAIL);
+
+  // Nothing was cached: once the server behaves, the next query resolves.
+  auth.attach(bed.network(), bed.auth_address(auth),
+              bed.world().city("Ashburn").location);
+  const auto recovered = resolver.handle_client_query(q, client);
+  ASSERT_TRUE(recovered.has_value());
+  EXPECT_EQ(recovered->header.rcode, RCode::NOERROR);
+  EXPECT_EQ(recovered->answers.size(), 3u);
+  EXPECT_EQ(resolver.counters().negative_cache_hits, 0u);
 }
 
 }  // namespace
