@@ -56,6 +56,10 @@ struct ClassificationCase {
   bool unroutable;
 };
 
+// Name each case by its address text: gtest's default byte dump would
+// include the string pointer, which differs from run to run.
+void PrintTo(const ClassificationCase& c, std::ostream* os) { *os << c.text; }
+
 class Classification : public ::testing::TestWithParam<ClassificationCase> {};
 
 TEST_P(Classification, Matches) {
