@@ -58,13 +58,13 @@ BENCHMARK(BM_TimerHeapChurn)->Arg(1000)->Arg(100000)->Arg(1000000);
 
 // End-to-end through the EventLoop (std::function payloads, schedule_at
 // validation): one self-rescheduling chain per simulated member, run for a
-// fixed count of firings. Compares the two TimerQueue implementations with
-// everything else identical.
-void event_loop_churn(benchmark::State& state, netsim::TimerQueue impl) {
+// fixed count of firings. Set against BM_TimerWheelChurn, it prices the
+// loop's own overhead on top of the wheel.
+void BM_EventLoopWheel(benchmark::State& state) {
   const auto chains = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     state.PauseTiming();
-    netsim::EventLoop loop(impl);
+    netsim::EventLoop loop;
     netsim::Rng rng(11);
     std::uint64_t fired = 0;
     const std::uint64_t quota = chains * 4;
@@ -88,15 +88,7 @@ void event_loop_churn(benchmark::State& state, netsim::TimerQueue impl) {
                           static_cast<std::int64_t>(chains) * 4);
 }
 
-void BM_EventLoopWheel(benchmark::State& state) {
-  event_loop_churn(state, netsim::TimerQueue::kWheel);
-}
 BENCHMARK(BM_EventLoopWheel)->Arg(1000)->Arg(100000);
-
-void BM_EventLoopHeap(benchmark::State& state) {
-  event_loop_churn(state, netsim::TimerQueue::kHeap);
-}
-BENCHMARK(BM_EventLoopHeap)->Arg(1000)->Arg(100000);
 
 }  // namespace
 

@@ -1,10 +1,8 @@
 #include "measurement/cache_sim.h"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <queue>
-#include <span>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -12,50 +10,15 @@
 #include "dnscore/contracts.h"
 #include "dnscore/flat_hash.h"
 #include "dnscore/hashing.h"
-#include "dnscore/ip.h"
 #include "measurement/sharding.h"
 #include "netsim/parallel_engine.h"
 #include "obs/metrics.h"
 
 namespace ecsdns::measurement {
-namespace {
 
-using dnscore::IpAddress;
-using dnscore::Prefix;
 using detail::CacheKey;
 using detail::CacheKeyHash;
 using detail::cache_key_of;
-
-// Content hash of a query's cache key, cheap enough for every shard to run
-// over the full stream as its partition filter (no Prefix construction for
-// foreign queries). Equal keys always hash equal; collisions only co-locate
-// two keys on one shard, which is harmless.
-std::uint64_t key_shard_hash(const TraceQuery& q, bool with_ecs) {
-  constexpr std::uint64_t kPrime = 1099511628211ull;
-  std::uint64_t h = 14695981039346656037ull;
-  h = (h ^ q.resolver) * kPrime;
-  h = (h ^ q.name) * kPrime;
-  if (with_ecs && q.scope > 0) {
-    const int bits = std::min(q.scope, q.client.bit_length());
-    const auto& bytes = q.client.bytes();
-    const int full = bits / 8;
-    const int partial = bits % 8;
-    for (int i = 0; i < full; ++i) {
-      h = (h ^ bytes[static_cast<std::size_t>(i)]) * kPrime;
-    }
-    if (partial != 0) {
-      const auto mask = static_cast<std::uint8_t>(0xff00u >> partial);
-      h = (h ^ static_cast<std::uint8_t>(
-               bytes[static_cast<std::size_t>(full)] & mask)) *
-          kPrime;
-    }
-    h = (h ^ static_cast<std::uint64_t>(bits)) * kPrime;
-    h = (h ^ static_cast<std::uint64_t>(q.client.is_v4() ? 4 : 6)) * kPrime;
-  }
-  return h;
-}
-
-}  // namespace
 
 const ResolverCacheResult& CacheSimResult::resolver(std::uint32_t id) const {
   for (const auto& r : per_resolver) {
@@ -83,9 +46,8 @@ double CacheSimResult::overall_hit_rate() const {
 }
 
 // ---------------------------------------------------------------------------
-// Unbounded streaming replay: entries leave only by TTL (the paper's §7
-// assumption). This is the serial path; bounded replays go through
-// BoundedShard below instead.
+// Unbounded fold: entries leave only by TTL (the paper's §7 assumption).
+// Every unbounded replay runs it, one instance per shard.
 
 StreamingCacheSim::StreamingCacheSim(std::uint32_t resolvers,
                                      const CacheSimOptions& options)
@@ -138,317 +100,99 @@ CacheSimResult StreamingCacheSim::finish() {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Sharded replay (see docs/parallel_engine.md).
-//
-// With an unbounded cache, each key's hit/miss sequence depends only on the
-// queries that map to it, so keys partition across shards by stable hash
-// and replay independently — each shard pulling its *own* instance of the
-// stream and keeping only the keys it owns (the streaming analog of every
-// shard scanning the shared trace vector). The one cross-key quantity — a
-// resolver's peak live-entry count, sampled by the serial replay after
-// every insert — is reconstructed exactly from per-shard occupancy deltas:
-// every insert emits (+1, time, query index) and every real expiration
-// (-1, expiry time). Deltas batch into the shard's epoch arena and stream
-// each epoch to the shard that owns the resolver's accounting, which
-// applies them in (time, expire-before-insert, query index) order —
-// precisely the order the serial replay's lazy expiration sweep induces,
-// because an expiration with `when <= q.time` always fires before query q.
-// Batches are confined to one epoch window, so the owner merges N
-// already-sorted runs per window.
-
-// One occupancy change of a resolver's cache.
-struct Delta {
-  SimTime time;
-  std::uint32_t resolver;
-  // 0 = entry expired (-1), 1 = entry inserted (+1). Expires sort first at
-  // equal times, matching the serial sweep-then-query order; this is exact
-  // whenever effective TTLs are positive (an entry then never expires at
-  // its own insertion time), which the dispatch in simulate_cache_stream
-  // guarantees.
-  std::uint8_t kind;
-  // Stream index of the (creating) insert: the deterministic tie-break.
-  std::uint64_t seq;
-};
-
-bool delta_less(const Delta& a, const Delta& b) {
-  if (a.time != b.time) return a.time < b.time;
-  if (a.kind != b.kind) return a.kind < b.kind;
-  return a.seq < b.seq;
-}
-
-class ReplayShard final : public netsim::ShardProgram {
+// Bounded fold: a capacity bound per resolver, overflow evicting the victim
+// `options.policy` picks before its TTL. Deliberately separate from the
+// unbounded fold, whose observe() is the hot loop of paper-scale replays:
+// this one never caches a TTL-0 answer (EcsCache::insert doesn't either),
+// and it sweeps expirations per resolver, so retirement timing is a pure
+// function of each resolver's own query sequence — on any stream order.
+class BoundedCacheSim {
  public:
-  ReplayShard(std::unique_ptr<TraceStream> stream, const CacheSimOptions& options,
-              std::size_t index, std::size_t shards,
-              std::vector<ReplayShard*>& directory,
-              std::vector<ResolverCacheResult>& results)
-      : stream_(std::move(stream)),
-        options_(options),
-        index_(index),
-        shards_(shards),
-        directory_(directory),
-        results_(results),
-        resolvers_(stream_->info().resolvers),
-        hits_(resolvers_, 0),
-        misses_(resolvers_, 0),
-        live_(resolvers_, 0),
-        peak_(resolvers_, 0),
-        out_(shards) {
-    has_next_ = stream_->next(next_q_);
+  BoundedCacheSim(std::uint32_t resolvers, const CacheSimOptions& options,
+                  obs::MetricsRegistry& metrics)
+      : options_(options),
+        evictions_(metrics.counter("cache_sim.capacity_evictions")),
+        ages_(metrics.histogram("cache_sim.eviction_age_s")),
+        strategy_(resolvers),
+        exp_(resolvers),
+        live_(resolvers, 0),
+        results_(resolvers) {
+    for (std::uint32_t r = 0; r < resolvers; ++r) results_[r].resolver = r;
   }
 
-  void epoch(netsim::ShardContext& ctx, SimTime epoch_end) override {
-    apply_pending();
-    replay_until(epoch_end);
-    flush_expirations(epoch_end);
-    ship(ctx);
-  }
-
-  bool done(const netsim::ShardContext&) const override {
-    return !has_next_ && expirations_.empty() && pending_.empty();
-  }
-
-  void finish(netsim::ShardContext& ctx) override {
-    // Serial, in shard-index order: fold this shard's tallies and its owned
-    // resolvers' exact peaks into the shared result.
-    std::uint64_t hit_total = 0;
-    std::uint64_t miss_total = 0;
-    for (std::uint32_t r = 0; r < resolvers_; ++r) {
-      results_[r].hits += hits_[r];
-      results_[r].misses += misses_[r];
-      hit_total += hits_[r];
-      miss_total += misses_[r];
-      if (shard_of_id(r, shards_) == index_) {
-        ECSDNS_DCHECK(live_[r] == 0);
-        results_[r].max_cache_size = peak_[r];
+  void observe(const TraceQuery& q) {
+    const std::uint32_t r = q.resolver;
+    auto& strategy_slot = strategy_.at(r);
+    if (!strategy_slot) {
+      strategy_slot = resolver::make_eviction_strategy(options_.policy);
+    }
+    resolver::EvictionStrategy& strategy = *strategy_slot;
+    // Retire this resolver's entries that expired by now.
+    auto& pending = exp_[r];
+    while (!pending.empty() && pending.top().when <= q.time) {
+      const PendingExpiry e = pending.top();
+      pending.pop();
+      const Slot* slot = cache_.find(e.key);
+      // Skip stale records (entry refreshed or already evicted); the reads
+      // happen before the erase relocates the slot.
+      if (slot != nullptr && slot->expiry <= e.when) {
+        strategy.on_erase(slot->id);
+        key_of_id_.erase(slot->id);
+        cache_.erase(e.key);
+        --live_[r];
       }
     }
-    auto& metrics = ctx.metrics();
-    metrics.counter("cache_sim.queries").inc(hit_total + miss_total);
-    metrics.counter("cache_sim.hits").inc(hit_total);
-    metrics.counter("cache_sim.misses").inc(miss_total);
+
+    const CacheKey key = cache_key_of(q, options_.with_ecs);
+    auto& result = results_[r];
+    const Slot* slot = cache_.find(key);
+    if (slot != nullptr && slot->expiry > q.time) {
+      ++result.hits;
+      strategy.on_hit(slot->id);
+      return;
+    }
+    // The sweep retires anything with expiry <= q.time before the probe,
+    // so a miss never finds a stale slot to refresh.
+    ECSDNS_DCHECK(slot == nullptr);
+    ++result.misses;
+    const std::uint32_t ttl_s = options_.ttl_override.value_or(q.ttl_s);
+    // TTL-0 answers are used once and never cached (RFC 1035).
+    if (ttl_s == 0) return;
+    // Make room BEFORE inserting, so the bound is never exceeded — not
+    // even transiently — and the incoming entry is not a victim candidate.
+    while (live_[r] >= *options_.max_entries_per_resolver &&
+           strategy.tracked() > 0) {
+      const resolver::EntryId victim = strategy.pick_victim();
+      const auto vkey_it = key_of_id_.find(victim);
+      ECSDNS_DCHECK(vkey_it != key_of_id_.end());
+      const CacheKey vkey = vkey_it->second;
+      const Slot* vslot = cache_.find(vkey);
+      ECSDNS_DCHECK(vslot != nullptr && vslot->id == victim);
+      const SimTime age = q.time > vslot->inserted_at ? q.time - vslot->inserted_at : 0;
+      ages_.observe(static_cast<std::uint64_t>(age / netsim::kSecond));
+      strategy.on_erase(victim);
+      key_of_id_.erase(vkey_it);
+      cache_.erase(vkey);
+      --live_[r];
+      ++result.premature_evictions;
+      evictions_.inc();
+    }
+    const SimTime expiry = q.time + static_cast<SimTime>(ttl_s) * netsim::kSecond;
+    const resolver::EntryId id = next_id_++;
+    cache_.insert_or_assign(key, Slot{expiry, q.time, id});
+    strategy.on_insert(id, resolver::EntryTraits{key.block.length()});
+    key_of_id_[id] = key;
+    ++live_[r];
+    result.max_cache_size = std::max(result.max_cache_size, live_[r]);
+    // seq tie-breaks equal expiry times within one resolver's queue; its
+    // queries keep their relative order on every shard layout.
+    pending.push(PendingExpiry{expiry, seq_++, key});
   }
 
-  // Delta batches live in the sender's epoch arena; the span stays valid
-  // until that arena's parity comes around again (round k+2), strictly
-  // after this shard merges it in round k+1.
-  void absorb(std::span<const Delta> batch) { pending_.push_back(batch); }
-
- private:
-  struct Slot {
-    SimTime expiry;
-    std::uint64_t seq;
-  };
-  struct PendingExpiry {
-    SimTime when;
-    std::uint64_t seq;
-    CacheKey key;
-  };
-  struct LaterExpiry {
-    bool operator()(const PendingExpiry& a, const PendingExpiry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-
-  // Owner role: merge the batches for the window that just closed. Every
-  // source batch is sorted and covers the same window, so this is an N-way
-  // merge on a strict total order (stream indexes never repeat).
-  void apply_pending() {
-    if (pending_.empty()) return;
-    std::vector<std::size_t> cursor(pending_.size(), 0);
-    for (;;) {
-      std::size_t best = pending_.size();
-      for (std::size_t i = 0; i < pending_.size(); ++i) {
-        if (cursor[i] >= pending_[i].size()) continue;
-        if (best == pending_.size() ||
-            delta_less(pending_[i][cursor[i]], pending_[best][cursor[best]])) {
-          best = i;
-        }
-      }
-      if (best == pending_.size()) break;
-      const Delta& d = pending_[best][cursor[best]++];
-      if (d.kind == 0) {
-        ECSDNS_DCHECK(live_[d.resolver] > 0);
-        --live_[d.resolver];
-      } else {
-        const std::int64_t now_live = ++live_[d.resolver];
-        if (static_cast<std::uint64_t>(now_live) > peak_[d.resolver]) {
-          peak_[d.resolver] = static_cast<std::uint64_t>(now_live);
-        }
-      }
-    }
-    pending_.clear();
-  }
-
-  // Replayer role: consume this window's slice of the stream, keeping only
-  // the keys this shard owns.
-  void replay_until(SimTime epoch_end) {
-    while (has_next_ && next_q_.time < epoch_end) {
-      const TraceQuery q = next_q_;
-      const std::uint64_t seq = seq_++;
-      has_next_ = stream_->next(next_q_);
-      if (shard_of_hash(key_shard_hash(q, options_.with_ecs), shards_) !=
-          index_) {
-        continue;
-      }
-      sweep(q.time);
-      const CacheKey key = cache_key_of(q, options_.with_ecs);
-      const Slot* slot = cache_.find(key);
-      if (slot != nullptr && slot->expiry > q.time) {
-        ++hits_[q.resolver];
-        continue;
-      }
-      // With positive TTLs the sweep has already erased an expired entry,
-      // so a miss always inserts a fresh one.
-      ECSDNS_DCHECK(slot == nullptr);
-      ++misses_[q.resolver];
-      const std::uint32_t ttl_s = options_.ttl_override.value_or(q.ttl_s);
-      const SimTime expiry =
-          q.time + static_cast<SimTime>(ttl_s) * netsim::kSecond;
-      cache_.insert_or_assign(key, Slot{expiry, seq});
-      emit(Delta{q.time, q.resolver, 1, seq});
-      expirations_.push(PendingExpiry{expiry, seq, key});
-    }
-  }
-
-  void sweep(SimTime now) {
-    while (!expirations_.empty() && expirations_.top().when <= now) {
-      pop_expiry();
-    }
-  }
-
-  // Emits every expiration inside the closing window even when no local
-  // query observed it — the owner's merge needs each window complete.
-  void flush_expirations(SimTime epoch_end) {
-    while (!expirations_.empty() && expirations_.top().when < epoch_end) {
-      pop_expiry();
-    }
-  }
-
-  void pop_expiry() {
-    const PendingExpiry e = expirations_.top();
-    expirations_.pop();
-    const Slot* slot = cache_.find(e.key);
-    // Skip stale records: the entry was refreshed after this expiry was
-    // scheduled (mirrors the serial replay's currentness check). The delta
-    // reads the slot before the erase relocates it.
-    if (slot != nullptr && slot->expiry <= e.when) {
-      emit(Delta{e.when, e.key.resolver, 0, slot->seq});
-      cache_.erase(e.key);
-    }
-  }
-
-  void emit(const Delta& d) { out_[shard_of_id(d.resolver, shards_)].push_back(d); }
-
-  void ship(netsim::ShardContext& ctx) {
-    for (std::size_t owner = 0; owner < shards_; ++owner) {
-      auto& bucket = out_[owner];
-      if (bucket.empty()) continue;
-      ECSDNS_DCHECK(std::is_sorted(bucket.begin(), bucket.end(), delta_less));
-      // Copy the batch into the epoch arena and ship a span: the reusable
-      // bucket keeps its capacity, so the steady-state epoch allocates
-      // nothing on this path.
-      Delta* batch = ctx.epoch_arena().alloc_array<Delta>(bucket.size());
-      std::copy(bucket.begin(), bucket.end(), batch);
-      const std::size_t count = bucket.size();
-      ctx.post(owner, [target = directory_[owner], batch, count](
-                          netsim::ShardContext&) {
-        target->absorb(std::span<const Delta>(batch, count));
-      });
-      bucket.clear();
-    }
-  }
-
-  std::unique_ptr<TraceStream> stream_;
-  const CacheSimOptions& options_;
-  std::size_t index_;
-  std::size_t shards_;
-  std::vector<ReplayShard*>& directory_;
-  std::vector<ResolverCacheResult>& results_;
-  std::uint32_t resolvers_;
-
-  bool has_next_ = false;
-  TraceQuery next_q_;
-  std::uint64_t seq_ = 0;
-  dnscore::FlatHashMap<CacheKey, Slot, CacheKeyHash> cache_;
-  std::priority_queue<PendingExpiry, std::vector<PendingExpiry>, LaterExpiry>
-      expirations_;
-  std::vector<std::uint64_t> hits_;
-  std::vector<std::uint64_t> misses_;
-  std::vector<std::int64_t> live_;
-  std::vector<std::uint64_t> peak_;
-  std::vector<std::vector<Delta>> out_;
-  std::vector<std::span<const Delta>> pending_;
-};
-
-// ---------------------------------------------------------------------------
-// Bounded replay.
-//
-// A capacity bound couples every key of one resolver through the eviction
-// policy's victim order — but never keys of different resolvers: each
-// resolver owns its cache, its live count, and its policy state. So the
-// unit of partitioning is the resolver (shard_of_id), and each shard
-// replays its own stream instance restricted to the resolvers it owns with
-// policy instances whose decisions are pure functions of that resolver's
-// query sequence. Every shard count — including 1, the serial case — runs
-// this exact code, so serial equivalence holds by construction; no
-// cross-shard mail, no sortedness requirement.
-class BoundedShard final : public netsim::ShardProgram {
- public:
-  BoundedShard(std::unique_ptr<TraceStream> stream, const CacheSimOptions& options,
-               std::size_t index, std::size_t shards,
-               std::vector<ResolverCacheResult>& results)
-      : stream_(std::move(stream)),
-        options_(options),
-        index_(index),
-        shards_(shards),
-        results_(results),
-        resolvers_(stream_->info().resolvers),
-        exp_(resolvers_),
-        live_(resolvers_, 0),
-        local_(resolvers_) {
-    for (std::uint32_t r = 0; r < resolvers_; ++r) {
-      if (shard_of_id(r, shards_) == index_) {
-        strategy_[r] = resolver::make_eviction_strategy(options_.policy);
-      }
-    }
-  }
-
-  // The whole replay runs in the first epoch: shards never exchange mail,
-  // so there is nothing to synchronize at epoch boundaries.
-  void epoch(netsim::ShardContext& ctx, SimTime) override {
-    if (done_) return;
-    done_ = true;
-    auto& evictions = ctx.metrics().counter("cache_sim.capacity_evictions");
-    auto& ages = ctx.metrics().histogram("cache_sim.eviction_age_s");
-    TraceQuery q;
-    for (std::uint64_t seq = 0; stream_->next(q); ++seq) {
-      if (strategy_.find(q.resolver) == strategy_.end()) continue;
-      replay_one(q, seq, evictions, ages);
-    }
-    std::uint64_t hit_total = 0;
-    std::uint64_t miss_total = 0;
-    for (const auto& local : local_) {
-      hit_total += local.hits;
-      miss_total += local.misses;
-    }
-    ctx.metrics().counter("cache_sim.queries").inc(hit_total + miss_total);
-    ctx.metrics().counter("cache_sim.hits").inc(hit_total);
-    ctx.metrics().counter("cache_sim.misses").inc(miss_total);
-  }
-
-  bool done(const netsim::ShardContext&) const override { return done_; }
-
-  void finish(netsim::ShardContext&) override {
-    // Serial, in shard-index order: publish owned resolvers' rows.
-    for (std::uint32_t r = 0; r < resolvers_; ++r) {
-      if (shard_of_id(r, shards_) != index_) continue;
-      results_[r].hits = local_[r].hits;
-      results_[r].misses = local_[r].misses;
-      results_[r].max_cache_size = local_[r].peak;
-      results_[r].premature_evictions = local_[r].premature;
-    }
+  CacheSimResult finish() {
+    CacheSimResult out;
+    out.per_resolver = std::move(results_);
+    return out;
   }
 
  private:
@@ -468,203 +212,86 @@ class BoundedShard final : public netsim::ShardProgram {
       return a.seq > b.seq;
     }
   };
-  struct LocalTally {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t premature = 0;
-    std::size_t peak = 0;
-  };
 
-  void replay_one(const TraceQuery& q, std::uint64_t seq, obs::Counter& evictions,
-                  obs::Histogram& ages) {
-    const std::uint32_t r = q.resolver;
-    resolver::EvictionStrategy& strategy = *strategy_[r];
-    // Retire this resolver's entries that expired by now. Sweeping per
-    // resolver (not globally) keeps retirement timing a pure function of
-    // the resolver's own query sequence, independent of shard layout.
-    auto& pending = exp_[r];
-    while (!pending.empty() && pending.top().when <= q.time) {
-      const PendingExpiry e = pending.top();
-      pending.pop();
-      const Slot* slot = cache_.find(e.key);
-      // Skip stale records (entry refreshed or already evicted); the reads
-      // happen before the erase relocates the slot.
-      if (slot != nullptr && slot->expiry <= e.when) {
-        strategy.on_erase(slot->id);
-        key_of_id_.erase(slot->id);
-        cache_.erase(e.key);
-        --live_[r];
-      }
-    }
-
-    const CacheKey key = cache_key_of(q, options_.with_ecs);
-    auto& local = local_[r];
-    const Slot* slot = cache_.find(key);
-    if (slot != nullptr && slot->expiry > q.time) {
-      ++local.hits;
-      strategy.on_hit(slot->id);
-      return;
-    }
-    // The sweep retires anything with expiry <= q.time before the probe,
-    // so a miss never finds a stale slot to refresh.
-    ECSDNS_DCHECK(slot == nullptr);
-    ++local.misses;
-    const std::uint32_t ttl_s = options_.ttl_override.value_or(q.ttl_s);
-    // TTL-0 answers are used once and never cached (RFC 1035), mirroring
-    // EcsCache::insert.
-    if (ttl_s == 0) return;
-    // Make room BEFORE inserting, so the bound is never exceeded — not
-    // even transiently — and the incoming entry is not a victim candidate.
-    while (live_[r] >= *options_.max_entries_per_resolver &&
-           strategy.tracked() > 0) {
-      const resolver::EntryId victim = strategy.pick_victim();
-      const auto vkey_it = key_of_id_.find(victim);
-      ECSDNS_DCHECK(vkey_it != key_of_id_.end());
-      const CacheKey vkey = vkey_it->second;
-      const Slot* vslot = cache_.find(vkey);
-      ECSDNS_DCHECK(vslot != nullptr && vslot->id == victim);
-      const SimTime age = q.time > vslot->inserted_at ? q.time - vslot->inserted_at : 0;
-      ages.observe(static_cast<std::uint64_t>(age / netsim::kSecond));
-      strategy.on_erase(victim);
-      key_of_id_.erase(vkey_it);
-      cache_.erase(vkey);
-      --live_[r];
-      ++local.premature;
-      evictions.inc();
-    }
-    const SimTime expiry = q.time + static_cast<SimTime>(ttl_s) * netsim::kSecond;
-    const resolver::EntryId id = next_id_++;
-    cache_.insert_or_assign(key, Slot{expiry, q.time, id});
-    strategy.on_insert(id, resolver::EntryTraits{key.block.length()});
-    key_of_id_[id] = key;
-    ++live_[r];
-    local.peak = std::max(local.peak, live_[r]);
-    pending.push(PendingExpiry{expiry, seq, key});
-  }
-
-  std::unique_ptr<TraceStream> stream_;
   const CacheSimOptions& options_;
-  std::size_t index_;
-  std::size_t shards_;
-  std::vector<ResolverCacheResult>& results_;
-  std::uint32_t resolvers_;
-
-  bool done_ = false;
+  obs::Counter& evictions_;
+  obs::Histogram& ages_;
   dnscore::FlatHashMap<CacheKey, Slot, CacheKeyHash> cache_;
-  std::unordered_map<std::uint32_t, std::unique_ptr<resolver::EvictionStrategy>>
-      strategy_;
+  // Per resolver, created on its first query.
+  std::vector<std::unique_ptr<resolver::EvictionStrategy>> strategy_;
   std::unordered_map<resolver::EntryId, CacheKey> key_of_id_;
   resolver::EntryId next_id_ = 1;
+  std::uint64_t seq_ = 0;
   std::vector<std::priority_queue<PendingExpiry, std::vector<PendingExpiry>,
                                   LaterExpiry>>
       exp_;
   std::vector<std::size_t> live_;
-  std::vector<LocalTally> local_;
+  std::vector<ResolverCacheResult> results_;
 };
 
 // ---------------------------------------------------------------------------
-// Resolver-partitioned unbounded replay.
+// The replay program (see docs/parallel_engine.md).
 //
-// Used when the stream restricts generation to owned members
-// (TraceStream::restrict_to_members): each shard then *generates* only its
-// own resolvers' queries, so generation cost — the dominant term of a
-// synthetic replay — splits across cores too. (The key-partitioned path
-// regenerates the full stream per shard and filters, which caps its speedup
-// at the replay fraction of the work.) Replay is the StreamingCacheSim fold
-// verbatim, one sweep queue per shard: on a time-ordered stream, any
-// schedule that retires every expiration with `when <= q.time` before
-// processing q yields identical hit/miss decisions and identical live
-// counts at every insert, and queries of different resolvers never share a
-// cache key — so each owned resolver's row equals the serial fold's row
-// exactly, for every shard count. Works for TTL-0 queries too (the fold
-// handles them inline), and needs no cross-shard mail.
+// Queries of different resolvers never share a cache key, and neither fold
+// couples resolvers: each owns its cache entries, live count and (bounded)
+// eviction state. So whole resolvers partition across shards by
+// shard_of_id, and each shard folds its own stream instance restricted to
+// the resolvers it owns — generating only their queries when the stream
+// supports restrict_to_members, else dropping the foreign ones. A shard's
+// rows equal the serial fold's rows exactly, for every shard count:
+//  - bounded: the fold's per-resolver sweep sees only the resolver's own
+//    queries, in their stream order;
+//  - unbounded: the fold's global sweep retires every expiration with
+//    `when <= q.time` before query q, which on a time-ordered stream gives
+//    the same hit/miss decision and live count at every insert whatever
+//    other resolvers share the queue. That is why simulate_cache_stream
+//    shards unbounded replays of time-ordered streams only.
+// Shards exchange no mail, so the whole replay runs inside the first epoch.
 class ResolverShard final : public netsim::ShardProgram {
  public:
-  ResolverShard(std::unique_ptr<TraceStream> stream,
-                const CacheSimOptions& options, std::size_t index,
-                std::size_t shards, std::vector<ResolverCacheResult>& results)
+  ResolverShard(std::unique_ptr<TraceStream> stream, const CacheSimOptions& options,
+                std::size_t index, std::size_t shards,
+                std::vector<ResolverCacheResult>& results)
       : stream_(std::move(stream)),
         options_(options),
         index_(index),
         shards_(shards),
         results_(results),
-        resolvers_(stream_->info().resolvers),
-        hits_(resolvers_, 0),
-        misses_(resolvers_, 0),
-        live_(resolvers_, 0),
-        peak_(resolvers_, 0) {}
+        filter_(shards > 1 && !stream_->restrict_to_members(index, shards)) {}
 
-  // The whole replay runs in the first epoch — no mail, nothing to
-  // synchronize at epoch boundaries (same shape as BoundedShard).
   void epoch(netsim::ShardContext& ctx, SimTime) override {
     if (done_) return;
     done_ = true;
-    TraceQuery q;
-    while (stream_->next(q)) observe(q);
-    std::uint64_t hit_total = 0;
-    std::uint64_t miss_total = 0;
-    for (std::uint32_t r = 0; r < resolvers_; ++r) {
-      hit_total += hits_[r];
-      miss_total += misses_[r];
+    const std::uint32_t resolvers = stream_->info().resolvers;
+    if (options_.max_entries_per_resolver) {
+      replay(BoundedCacheSim(resolvers, options_, ctx.metrics()));
+    } else {
+      replay(StreamingCacheSim(resolvers, options_));
     }
-    ctx.metrics().counter("cache_sim.queries").inc(hit_total + miss_total);
-    ctx.metrics().counter("cache_sim.hits").inc(hit_total);
-    ctx.metrics().counter("cache_sim.misses").inc(miss_total);
+    const std::uint64_t hits = rows_.total_hits();
+    const std::uint64_t misses = rows_.total_misses();
+    ctx.metrics().counter("cache_sim.queries").inc(hits + misses);
+    ctx.metrics().counter("cache_sim.hits").inc(hits);
+    ctx.metrics().counter("cache_sim.misses").inc(misses);
   }
 
   bool done(const netsim::ShardContext&) const override { return done_; }
 
   void finish(netsim::ShardContext&) override {
     // Serial, in shard-index order: publish owned resolvers' rows.
-    for (std::uint32_t r = 0; r < resolvers_; ++r) {
-      if (shard_of_id(r, shards_) != index_) continue;
-      results_[r].hits = hits_[r];
-      results_[r].misses = misses_[r];
-      results_[r].max_cache_size = peak_[r];
+    for (const auto& row : rows_.per_resolver) {
+      if (shard_of_id(row.resolver, shards_) == index_) results_[row.resolver] = row;
     }
   }
 
  private:
-  struct Slot {
-    SimTime expiry = 0;
-  };
-  struct Expiry {
-    SimTime when;
-    CacheKey key;
-  };
-  struct LaterExpiry {
-    bool operator()(const Expiry& a, const Expiry& b) const {
-      return a.when > b.when;
+  template <typename Fold>
+  void replay(Fold fold) {
+    TraceQuery q;
+    while (stream_->next(q)) {
+      if (!filter_ || shard_of_id(q.resolver, shards_) == index_) fold.observe(q);
     }
-  };
-
-  // StreamingCacheSim::observe, on this shard's slice of the stream.
-  void observe(const TraceQuery& q) {
-    ECSDNS_DCHECK(shard_of_id(q.resolver, shards_) == index_);
-    while (!expirations_.empty() && expirations_.top().when <= q.time) {
-      const Expiry e = expirations_.top();
-      expirations_.pop();
-      const Slot* slot = cache_.find(e.key);
-      if (slot != nullptr && slot->expiry <= e.when) {
-        --live_[e.key.resolver];
-        cache_.erase(e.key);
-      }
-    }
-    const CacheKey key = cache_key_of(q, options_.with_ecs);
-    const Slot* found = cache_.find(key);
-    if (found != nullptr && found->expiry > q.time) {
-      ++hits_[q.resolver];
-      return;
-    }
-    ++misses_[q.resolver];
-    const std::uint32_t ttl_s = options_.ttl_override.value_or(q.ttl_s);
-    const SimTime expiry =
-        q.time + static_cast<SimTime>(ttl_s) * netsim::kSecond;
-    const auto [new_slot, inserted] = cache_.insert_or_assign(key, Slot{expiry});
-    (void)new_slot;
-    if (inserted) ++live_[q.resolver];
-    peak_[q.resolver] = std::max(peak_[q.resolver], live_[q.resolver]);
-    expirations_.push(Expiry{expiry, key});
+    rows_ = fold.finish();
   }
 
   std::unique_ptr<TraceStream> stream_;
@@ -672,185 +299,47 @@ class ResolverShard final : public netsim::ShardProgram {
   std::size_t index_;
   std::size_t shards_;
   std::vector<ResolverCacheResult>& results_;
-  std::uint32_t resolvers_;
-
+  // The stream could not restrict itself: drop foreign resolvers here.
+  bool filter_;
   bool done_ = false;
-  dnscore::FlatHashMap<CacheKey, Slot, CacheKeyHash> cache_;
-  std::priority_queue<Expiry, std::vector<Expiry>, LaterExpiry> expirations_;
-  std::vector<std::uint64_t> hits_;
-  std::vector<std::uint64_t> misses_;
-  std::vector<std::size_t> live_;
-  std::vector<std::size_t> peak_;
+  // Every resolver's row; the owned ones are this shard's result.
+  CacheSimResult rows_;
 };
 
-// Builds the per-shard stream instances: the dispatch probe (an untouched
-// stream) becomes shard 0; the rest replay fresh from the factory.
-std::vector<std::unique_ptr<TraceStream>> shard_streams(
-    const TraceStreamFactory& factory, std::unique_ptr<TraceStream> probe,
-    std::size_t shards) {
-  std::vector<std::unique_ptr<TraceStream>> streams;
-  streams.reserve(shards);
-  streams.push_back(std::move(probe));
-  for (std::size_t s = 1; s < shards; ++s) streams.push_back(factory());
-  return streams;
-}
+}  // namespace
 
-netsim::ParallelConfig engine_config(const CacheSimOptions& options,
-                                     std::size_t shards) {
+CacheSimResult simulate_cache_stream(const TraceStreamFactory& factory,
+                                     const CacheSimOptions& options) {
+  // The probe answers the dispatch question and then replays as shard 0.
+  auto probe = factory();
+  const TraceStreamInfo info = probe->info();
+  // A bounded fold is shard-invariant on any stream order; the unbounded
+  // fold's global sweep needs a time-ordered stream (see ResolverShard).
+  const bool shardable = options.max_entries_per_resolver || info.time_ordered;
+  const std::size_t shards =
+      shardable ? std::max<std::size_t>(
+                      1, std::min<std::size_t>(options.shards, info.resolvers))
+                : 1;
+
+  // Every row is published by the shard that owns its resolver.
+  std::vector<ResolverCacheResult> results(info.resolvers);
+  std::vector<std::unique_ptr<netsim::ShardProgram>> programs;
+  programs.reserve(shards);
+  for (std::size_t s = 0; s < shards; ++s) {
+    programs.push_back(std::make_unique<ResolverShard>(
+        s == 0 ? std::move(probe) : factory(), options, s, shards, results));
+  }
   netsim::ParallelConfig config;
   config.shards = shards;
   config.threads = options.threads;
   config.pin_threads = options.pin_threads;
   config.runtime_metrics = options.runtime_metrics;
-  return config;
-}
-
-CacheSimResult simulate_bounded(const TraceStreamFactory& factory,
-                                std::unique_ptr<TraceStream> probe,
-                                const CacheSimOptions& options) {
-  const std::size_t shards = std::max<std::size_t>(1, options.shards);
-  const std::uint32_t resolvers = probe->info().resolvers;
-  std::vector<ResolverCacheResult> results(resolvers);
-  for (std::uint32_t r = 0; r < resolvers; ++r) results[r].resolver = r;
-
-  auto streams = shard_streams(factory, std::move(probe), shards);
-  // Best-effort: a stream that can restrict skips generating foreign
-  // resolvers' queries entirely; the ownership filter below still guards
-  // streams that cannot. Restriction renumbers the per-stream seq, but seq
-  // only tie-breaks expirations within one resolver's queue, and an owned
-  // resolver's queries keep their relative order — results are unchanged
-  // (the bounded cross-validation suite and the committed capacity-sweep
-  // CSV both pin this).
-  if (shards > 1) {
-    for (std::size_t s = 0; s < shards; ++s) {
-      streams[s]->restrict_to_members(s, shards);
-    }
-  }
-  std::vector<std::unique_ptr<netsim::ShardProgram>> programs;
-  programs.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    programs.push_back(std::make_unique<BoundedShard>(std::move(streams[s]),
-                                                      options, s, shards,
-                                                      results));
-  }
-
-  // Epoch length is irrelevant — the shards exchange no messages and each
-  // replays fully inside its first epoch.
-  netsim::ParallelEngine engine(engine_config(options, shards),
-                                std::move(programs));
-  engine.run();
-  engine.merge_metrics(obs::MetricsRegistry::global());
-
-  CacheSimResult out;
-  out.per_resolver = std::move(results);
-  return out;
-}
-
-CacheSimResult simulate_by_resolver(const TraceStreamFactory& factory,
-                                    std::unique_ptr<TraceStream> probe,
-                                    const CacheSimOptions& options) {
-  const std::size_t shards = options.shards;
-  const std::uint32_t resolvers = probe->info().resolvers;
-  std::vector<ResolverCacheResult> results(resolvers);
-  for (std::uint32_t r = 0; r < resolvers; ++r) results[r].resolver = r;
-
-  // The dispatch already restricted the probe to shard 0's members; every
-  // other instance replays the same logical stream, so it must restrict
-  // the same way.
-  auto streams = shard_streams(factory, std::move(probe), shards);
-  for (std::size_t s = 1; s < shards; ++s) {
-    const bool restricted = streams[s]->restrict_to_members(s, shards);
-    ECSDNS_CHECK(restricted);
-  }
-  std::vector<std::unique_ptr<netsim::ShardProgram>> programs;
-  programs.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    programs.push_back(std::make_unique<ResolverShard>(std::move(streams[s]),
-                                                       options, s, shards,
-                                                       results));
-  }
-
-  netsim::ParallelEngine engine(engine_config(options, shards),
-                                std::move(programs));
-  engine.run();
-  engine.merge_metrics(obs::MetricsRegistry::global());
-
-  CacheSimResult out;
-  out.per_resolver = std::move(results);
-  return out;
-}
-
-CacheSimResult simulate_sharded(const TraceStreamFactory& factory,
-                                std::unique_ptr<TraceStream> probe,
-                                const CacheSimOptions& options) {
-  const std::size_t shards = options.shards;
-  const TraceStreamInfo info = probe->info();
-  std::vector<ResolverCacheResult> results(info.resolvers);
-  for (std::uint32_t r = 0; r < info.resolvers; ++r) results[r].resolver = r;
-
-  auto streams = shard_streams(factory, std::move(probe), shards);
-  std::vector<ReplayShard*> directory(shards, nullptr);
-  std::vector<std::unique_ptr<netsim::ShardProgram>> programs;
-  programs.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    auto program = std::make_unique<ReplayShard>(std::move(streams[s]), options,
-                                                 s, shards, directory, results);
-    directory[s] = program.get();
-    programs.push_back(std::move(program));
-  }
-
-  netsim::ParallelConfig config = engine_config(options, shards);
-  // Delta mail is accounting, not simulation traffic, so the window length
-  // is free — it only has to be a pure function of the stream's config so
-  // every shard count sees the same windows.
-  config.epoch = std::max<SimTime>(netsim::kSecond, info.time_bound / 128);
   netsim::ParallelEngine engine(config, std::move(programs));
   engine.run();
   engine.merge_metrics(obs::MetricsRegistry::global());
 
   CacheSimResult out;
   out.per_resolver = std::move(results);
-  return out;
-}
-
-}  // namespace
-
-CacheSimResult simulate_cache_stream(const TraceStreamFactory& factory,
-                                     const CacheSimOptions& options) {
-  auto probe = factory();
-  const TraceStreamInfo info = probe->info();
-  // Sharded-path preconditions; anything else replays serially. Bounded
-  // caches always partition by resolver. Unbounded sharded replays prefer
-  // the resolver-partitioned path when the stream can restrict generation
-  // to owned members (the only mode that also splits generation cost
-  // across cores); it needs a time-ordered stream so the per-shard sweep
-  // retires exactly what the serial sweep would have before each query.
-  // The key-partitioned fallback additionally needs positive effective
-  // TTLs — a zero TTL makes an entry expire at its own insert time, which
-  // its expire-before-insert merge order cannot represent.
-  const bool positive_ttls =
-      options.ttl_override ? *options.ttl_override > 0 : info.positive_ttls;
-  CacheSimResult out;
-  if (options.max_entries_per_resolver) {
-    out = simulate_bounded(factory, std::move(probe), options);
-  } else if (options.shards > 1 && info.time_ordered &&
-             info.resolvers >= options.shards &&
-             probe->restrict_to_members(0, options.shards)) {
-    out = simulate_by_resolver(factory, std::move(probe), options);
-  } else if (options.shards > 1 && info.time_ordered && positive_ttls) {
-    out = simulate_sharded(factory, std::move(probe), options);
-  } else {
-    StreamingCacheSim sim(info.resolvers, options);
-    TraceQuery q;
-    while (probe->next(q)) sim.observe(q);
-    out = sim.finish();
-    // Mirror the merged metrics of the sharded path so exports are
-    // byte-identical across shard counts.
-    auto& registry = obs::MetricsRegistry::global();
-    registry.counter("cache_sim.queries").inc(out.total_hits() + out.total_misses());
-    registry.counter("cache_sim.hits").inc(out.total_hits());
-    registry.counter("cache_sim.misses").inc(out.total_misses());
-  }
   std::uint64_t peak = 0;
   for (const auto& r : out.per_resolver) {
     peak = std::max<std::uint64_t>(peak, r.max_cache_size);

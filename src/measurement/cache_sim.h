@@ -31,8 +31,8 @@ namespace ecsdns::measurement {
 namespace detail {
 
 // Cache key: resolver x question x (scope-truncated client block). Without
-// ECS the block is the zero prefix. Shared by the streaming fold and the
-// sharded replay programs.
+// ECS the block is the zero prefix. Shared by the unbounded and bounded
+// folds.
 struct CacheKey {
   std::uint32_t resolver;
   std::uint32_t name;
@@ -72,14 +72,14 @@ struct CacheSimOptions {
   // Victim selection for bounded replays (resolver::EvictionPolicy); LRU
   // preserves the historical behavior.
   resolver::EvictionPolicy policy = resolver::EvictionPolicy::kLru;
-  // Shards the replay over N event-loop shards (netsim::ParallelEngine).
-  // Unbounded: cache keys partition by stable hash, per-resolver occupancy
-  // merges via cross-shard delta streams. Bounded: eviction couples every
-  // key of a resolver, but never keys of different resolvers, so whole
-  // resolvers partition across shards and replay independently. Either
-  // way, results are bit-identical to the serial replay for every shard
-  // and thread count (the serial-equivalence oracle in
-  // tests/test_parallel_determinism.cpp enforces this).
+  // Shards the replay over up to N netsim::ParallelEngine shards. Neither
+  // fold couples keys of different resolvers, so whole resolvers partition
+  // across shards (shard_of_id) and replay independently, with no
+  // cross-shard reduction. The replay uses min(N, resolvers) shards when
+  // it is bounded or the stream is time-ordered, else one. Results are
+  // bit-identical to the serial replay for every shard and thread count
+  // (the serial-equivalence oracle in tests/test_parallel_determinism.cpp
+  // enforces this).
   std::size_t shards = 1;
   // Worker threads for the sharded replay; 0 = one per shard, capped at
   // the hardware. Never affects results.
@@ -119,11 +119,11 @@ struct CacheSimResult {
 };
 
 // Incremental unbounded replay: feed queries one at a time, read the result
-// when the stream ends. This *is* the serial replay — simulate_cache's
-// serial path folds through it — exposed so streaming pipelines (the
-// scale_streaming bench, custom aggregations) can interleave generation and
-// simulation without a trace in memory. Memory is O(live cache entries +
-// resolvers), independent of how many queries flow through.
+// when the stream ends. This *is* the unbounded fold — every shard of an
+// unbounded simulate_cache_stream runs one instance — exposed so streaming
+// pipelines (the scale_streaming bench, custom aggregations) can interleave
+// generation and simulation without a trace in memory. Memory is O(live
+// cache entries + resolvers), independent of how many queries flow through.
 class StreamingCacheSim {
  public:
   StreamingCacheSim(std::uint32_t resolvers, const CacheSimOptions& options);
@@ -161,10 +161,13 @@ class StreamingCacheSim {
 
 // Replays one logical stream, constructing one instance per shard from the
 // factory (stream construction is a pure deterministic function, so every
-// instance replays the same sequence). Dispatches exactly like
-// simulate_cache: bounded -> resolver-partitioned shards; unbounded sharded
-// when the stream is time-ordered with positive effective TTLs; serial
-// StreamingCacheSim fold otherwise.
+// instance replays the same sequence). Every call, one shard included, runs
+// the same resolver-partitioned program on netsim::ParallelEngine: each
+// shard restricts its stream to the resolvers it owns (or filters when the
+// stream cannot restrict) and folds them through StreamingCacheSim, or
+// through the bounded fold when max_entries_per_resolver is set. Shard
+// count: min(options.shards, resolvers) when bounded or time-ordered, else
+// one (see CacheSimOptions::shards).
 CacheSimResult simulate_cache_stream(const TraceStreamFactory& factory,
                                      const CacheSimOptions& options);
 

@@ -12,8 +12,8 @@
 // Sharded consumption needs no queue between generator and shards: stream
 // construction is a pure function of its config (per-resolver Rng streams),
 // so every shard builds its *own* instance from the shared factory and
-// filters to the keys it owns — the streaming analog of every shard
-// scanning the shared trace vector.
+// keeps only the resolvers it owns — generating just those when the stream
+// supports restrict_to_members, else filtering the full sequence.
 #pragma once
 
 #include <cstdint>
@@ -30,14 +30,9 @@ namespace ecsdns::measurement {
 struct TraceStreamInfo {
   std::uint32_t hostnames = 0;
   std::uint32_t resolvers = 1;
-  // Exclusive upper bound on query times, when known up front (generators
-  // know their configured duration; a materialized trace its last
-  // timestamp). 0 means "empty or unknown".
-  SimTime time_bound = 0;
-  // Queries arrive sorted by time — precondition for the sharded replay.
+  // Queries arrive sorted by time — the precondition for sharding an
+  // unbounded cache replay (bounded replays shard on any order).
   bool time_ordered = false;
-  // No query carries ttl_s == 0 — the other sharded-replay precondition.
-  bool positive_ttls = false;
 };
 
 class TraceStream {

@@ -39,10 +39,6 @@ SimTime ShardContext::epoch_end() const noexcept {
   return engine_.round_.epoch_end;
 }
 
-Arena& ShardContext::epoch_arena() noexcept {
-  return arenas_[engine_.round_.parity];
-}
-
 void ShardContext::post(std::size_t to, Mail mail) {
   if (to >= engine_.shard_count()) {
     throw std::out_of_range("post: no such shard");
@@ -163,10 +159,6 @@ bool ParallelEngine::coordinate() noexcept {
   }
   if (!more) return false;
   round_.parity ^= 1u;
-  // The arena writers are about to reuse was written in round k-2 and read
-  // (by mail receivers) in round k-1; with all workers parked at this
-  // barrier it is now safe to rewind.
-  for (auto& shard : shards_) shard->arenas_[round_.parity].reset();
   round_.epoch_end += config_.epoch;
   return true;
 }

@@ -18,9 +18,9 @@
 // mailboxes are drained in (source shard, FIFO) order; per-shard registries
 // merge in shard-index order with commutative rules. Programs that also
 // need identical results across *shard counts* (the serial-equivalence
-// oracle) must additionally make their own cross-shard reductions
-// order-independent — the sharded cache replay in measurement/cache_sim.cpp
-// is the worked example.
+// oracle) must additionally partition their work so that no result depends
+// on the layout — the cache replay in measurement/cache_sim.cpp, which
+// gives each shard whole resolvers, is the worked example.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +29,6 @@
 #include <memory>
 #include <vector>
 
-#include "netsim/arena.h"
 #include "netsim/buffer_pool.h"
 #include "netsim/event_loop.h"
 #include "netsim/geo.h"
@@ -47,8 +46,8 @@ struct ParallelConfig {
   std::size_t threads = 0;
   // Epoch (lookahead) length. Event-driven programs that exchange
   // simulation messages must keep this <= conservative_epoch(model);
-  // programs whose cross-shard traffic is pure accounting (the cache
-  // replay) may use any epoch.
+  // programs that send no simulation messages (the cache replay sends
+  // none) may use any epoch.
   SimTime epoch = kSecond;
   std::uint64_t seed = 1;
   // Pin worker w to Topology::detect().pin_order()[w % cores] — one shard
@@ -95,12 +94,6 @@ class alignas(64) ShardContext {
   // everything else here); programs that serialize packets inside epochs
   // recycle buffers through it instead of allocating per event.
   BufferPool& buffer_pool() noexcept { return pool_; }
-  // Per-epoch scratch arena for batches shipped through post(): memory
-  // allocated here during round k stays valid while receivers read it in
-  // round k+1 and is recycled at the start of round k+2 (the engine
-  // double-buffers two arenas by epoch parity, mirroring the mailboxes).
-  // Never hand its memory to anything that outlives that window.
-  Arena& epoch_arena() noexcept;
   // End of the epoch currently executing (exclusive).
   SimTime epoch_end() const noexcept;
 
@@ -130,7 +123,6 @@ class alignas(64) ShardContext {
   Rng rng_;
   obs::MetricsRegistry metrics_;
   BufferPool pool_;
-  Arena arenas_[2];
 };
 
 // One shard's slice of a simulation. The engine drives each program

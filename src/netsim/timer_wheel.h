@@ -15,8 +15,8 @@
 // batch. The serial-equivalence oracle depends on this.
 //
 // TimerHeap<T> keeps the old std::priority_queue behind the identical
-// interface so the two can be profiled against each other (bench/
-// micro_timer.cpp) and swapped per-EventLoop.
+// interface: the ordering reference of tests/test_timer_wheel.cpp and the
+// profiling baseline of bench/micro_timer.cpp.
 #pragma once
 
 #include <algorithm>
@@ -186,7 +186,7 @@ class TimerWheel {
 };
 
 // The previous implementation — a binary heap — behind the TimerWheel
-// interface, kept for profiling and as a fallback.
+// interface, kept as the ordering reference and for profiling.
 template <typename T>
 class TimerHeap {
  public:

@@ -377,6 +377,10 @@ Trace small_all_names_trace() {
   return generate_all_names_trace(config);
 }
 
+// Twelve resolvers, materialized: a stream that cannot restrict itself, so
+// every shard drops its foreign resolvers by filtering. The All-Names trace
+// has one resolver, which the replay never splits; the shard-count oracles
+// below run on both.
 Trace small_cdn_trace() {
   PublicResolverCdnConfig config;
   config.resolvers = 12;
@@ -418,15 +422,38 @@ void expect_identical(const CacheSimResult& a, const CacheSimResult& b,
 }
 
 TEST(ParallelDeterminism, CacheReplayMatchesSerialForEveryShardCount) {
-  const Trace trace = small_all_names_trace();
-  ASSERT_GT(trace.queries.size(), 1000u);
-  for (const bool with_ecs : {true, false}) {
-    const CacheSimResult serial = run_sim(trace, with_ecs, std::nullopt, 1);
-    for (const std::size_t shards : {2u, 4u, 8u}) {
-      expect_identical(serial, run_sim(trace, with_ecs, std::nullopt, shards),
-                       "ecs=" + std::to_string(with_ecs) +
-                           " shards=" + std::to_string(shards));
+  for (const Trace& trace : {small_all_names_trace(), small_cdn_trace()}) {
+    ASSERT_GT(trace.queries.size(), 1000u);
+    for (const bool with_ecs : {true, false}) {
+      const CacheSimResult serial = run_sim(trace, with_ecs, std::nullopt, 1);
+      for (const std::size_t shards : {2u, 4u, 8u}) {
+        expect_identical(serial, run_sim(trace, with_ecs, std::nullopt, shards),
+                         "resolvers=" + std::to_string(trace.resolvers) +
+                             " ecs=" + std::to_string(with_ecs) +
+                             " shards=" + std::to_string(shards));
+      }
     }
+  }
+}
+
+TEST(ParallelDeterminism, MoreShardsThanResolversMatchesSerial) {
+  // Three resolvers on eight shards, from a stream that cannot restrict:
+  // the replay runs at most one shard per resolver and still reproduces
+  // the serial rows bit for bit.
+  PublicResolverCdnConfig config;
+  config.resolvers = 3;
+  config.min_clients_per_resolver = 20;
+  config.max_clients_per_resolver = 80;
+  config.min_qps = 4.0;
+  config.max_qps = 30.0;
+  config.hostnames = 60;
+  config.duration = 2 * netsim::kMinute;
+  const Trace trace = generate_public_resolver_cdn_trace(config);
+  ASSERT_TRUE(scan_trace_info(trace).time_ordered);
+  for (const bool with_ecs : {true, false}) {
+    expect_identical(run_sim(trace, with_ecs, std::nullopt, 1),
+                     run_sim(trace, with_ecs, std::nullopt, 8),
+                     "ecs=" + std::to_string(with_ecs));
   }
 }
 
@@ -442,65 +469,72 @@ TEST(ParallelDeterminism, CdnTraceBlowupFactorsMatchSerialUnderTtlOverride) {
 }
 
 TEST(ParallelDeterminism, RepeatedRunsAndThreadCountsAreIdentical) {
-  const Trace trace = small_all_names_trace();
-  const CacheSimResult first = run_sim(trace, true, std::nullopt, 4);
-  expect_identical(first, run_sim(trace, true, std::nullopt, 4), "repeat");
-  expect_identical(first, run_sim(trace, true, std::nullopt, 4, 1), "threads=1");
-  expect_identical(first, run_sim(trace, true, std::nullopt, 4, 3), "threads=3");
-  expect_identical(first, run_sim(trace, true, std::nullopt, 4, 8), "threads=8");
+  for (const Trace& trace : {small_all_names_trace(), small_cdn_trace()}) {
+    const CacheSimResult first = run_sim(trace, true, std::nullopt, 4);
+    expect_identical(first, run_sim(trace, true, std::nullopt, 4), "repeat");
+    expect_identical(first, run_sim(trace, true, std::nullopt, 4, 1), "threads=1");
+    expect_identical(first, run_sim(trace, true, std::nullopt, 4, 3), "threads=3");
+    expect_identical(first, run_sim(trace, true, std::nullopt, 4, 8), "threads=8");
+  }
 }
 
 TEST(ParallelDeterminism, CacheReplayIdenticalPinnedAndUnpinnedAtEveryThreadCount) {
   // The acceptance matrix on the simulation side: pinned-vs-unpinned across
   // threads 1/2/4/8 replays the same 4-shard partition bit-identically.
-  const Trace trace = small_all_names_trace();
-  const CacheSimResult serial = run_sim(trace, true, std::nullopt, 1);
-  for (const bool pin : {false, true}) {
-    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-      expect_identical(serial,
-                       run_sim(trace, true, std::nullopt, 4, threads, pin),
-                       "threads=" + std::to_string(threads) +
-                           " pin=" + std::to_string(pin));
+  for (const Trace& trace : {small_all_names_trace(), small_cdn_trace()}) {
+    const CacheSimResult serial = run_sim(trace, true, std::nullopt, 1);
+    for (const bool pin : {false, true}) {
+      for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+        expect_identical(serial,
+                         run_sim(trace, true, std::nullopt, 4, threads, pin),
+                         "resolvers=" + std::to_string(trace.resolvers) +
+                             " threads=" + std::to_string(threads) +
+                             " pin=" + std::to_string(pin));
+      }
     }
   }
 }
 
 TEST(ParallelDeterminism, MetricsExportIsByteIdenticalAcrossShardCounts) {
-  const Trace trace = small_all_names_trace();
-  const auto export_for = [&trace](std::size_t shards) {
-    auto& registry = obs::MetricsRegistry::global();
-    registry.reset();
-    (void)run_sim(trace, true, std::nullopt, shards);
-    (void)run_sim(trace, false, std::nullopt, shards);
-    // Run metadata (wall clock) is outside the contract, so it is pinned;
-    // everything the simulation itself produced must match byte for byte.
-    return obs::metrics_json(registry, "oracle", 0.0);
-  };
-  const std::string serial = export_for(1);
-  EXPECT_EQ(serial, export_for(2));
-  EXPECT_EQ(serial, export_for(8));
+  for (const Trace& trace : {small_all_names_trace(), small_cdn_trace()}) {
+    const auto export_for = [&trace](std::size_t shards) {
+      auto& registry = obs::MetricsRegistry::global();
+      registry.reset();
+      (void)run_sim(trace, true, std::nullopt, shards);
+      (void)run_sim(trace, false, std::nullopt, shards);
+      // Run metadata (wall clock) is outside the contract, so it is pinned;
+      // everything the simulation itself produced must match byte for byte.
+      return obs::metrics_json(registry, "oracle", 0.0);
+    };
+    const std::string serial = export_for(1);
+    EXPECT_EQ(serial, export_for(2)) << "resolvers=" << trace.resolvers;
+    EXPECT_EQ(serial, export_for(8)) << "resolvers=" << trace.resolvers;
+  }
 }
 
 TEST(ParallelDeterminism, FormattedCsvCellsMatchSerial) {
-  const Trace trace = small_all_names_trace();
-  for (const int pct : {30, 100}) {
-    const Trace sampled = sample_clients(trace, pct / 100.0, 101);
-    // fig2-style cell: the first resolver's blow-up at 4 digits.
-    const auto serial_factors = blowup_factors(sampled, std::nullopt, 1);
-    const auto sharded_factors = blowup_factors(sampled, std::nullopt, 4);
-    ASSERT_FALSE(serial_factors.empty());
-    ASSERT_FALSE(sharded_factors.empty());
-    EXPECT_EQ(TextTable::num(serial_factors.front(), 4),
-              TextTable::num(sharded_factors.front(), 4))
-        << "pct=" << pct;
-    // fig3-style cells: hit rates with and without ECS at 3 digits.
-    for (const bool with_ecs : {true, false}) {
-      const double serial_rate =
-          100.0 * run_sim(sampled, with_ecs, std::nullopt, 1).overall_hit_rate();
-      const double sharded_rate =
-          100.0 * run_sim(sampled, with_ecs, std::nullopt, 8).overall_hit_rate();
-      EXPECT_EQ(TextTable::num(serial_rate, 3), TextTable::num(sharded_rate, 3))
-          << "pct=" << pct << " ecs=" << with_ecs;
+  for (const Trace& trace : {small_all_names_trace(), small_cdn_trace()}) {
+    for (const int pct : {30, 100}) {
+      const Trace sampled = sample_clients(trace, pct / 100.0, 101);
+      const std::string label = "resolvers=" + std::to_string(trace.resolvers) +
+                                " pct=" + std::to_string(pct);
+      // fig2-style cell: the first resolver's blow-up at 4 digits.
+      const auto serial_factors = blowup_factors(sampled, std::nullopt, 1);
+      const auto sharded_factors = blowup_factors(sampled, std::nullopt, 4);
+      ASSERT_FALSE(serial_factors.empty());
+      ASSERT_FALSE(sharded_factors.empty());
+      EXPECT_EQ(TextTable::num(serial_factors.front(), 4),
+                TextTable::num(sharded_factors.front(), 4))
+          << label;
+      // fig3-style cells: hit rates with and without ECS at 3 digits.
+      for (const bool with_ecs : {true, false}) {
+        const double serial_rate =
+            100.0 * run_sim(sampled, with_ecs, std::nullopt, 1).overall_hit_rate();
+        const double sharded_rate =
+            100.0 * run_sim(sampled, with_ecs, std::nullopt, 8).overall_hit_rate();
+        EXPECT_EQ(TextTable::num(serial_rate, 3), TextTable::num(sharded_rate, 3))
+            << label << " ecs=" << with_ecs;
+      }
     }
   }
 }
@@ -559,9 +593,10 @@ TEST(ParallelDeterminism, BoundedMetricsExportIsByteIdenticalAcrossShardCounts) 
 }
 
 TEST(ParallelDeterminism, ZeroTtlFallsBackToSerialWithEqualResults) {
-  // A zero TTL expires an entry at its own insert time, which the sharded
-  // merge order cannot represent; the dispatcher must detect it and replay
-  // serially. Results still must match the serial path bit for bit.
+  // A zero TTL expires an entry at its own insert time. The unbounded fold
+  // still counts that insert toward the peak, and each shard runs the same
+  // fold on whole resolvers, so the sharded replay needs no serial fallback
+  // here: it must match the serial path bit for bit.
   const Trace trace = small_cdn_trace();
   const CacheSimResult serial = run_sim(trace, true, 0u, 1);
   expect_identical(serial, run_sim(trace, true, 0u, 8), "ttl=0");

@@ -2,11 +2,14 @@
 // (when, seq) total order of the binary heap it replaced, under every shape
 // of churn the EventLoop produces — same-time batches, pushes during
 // drains, far-future entries beyond the wheel horizon, cursor jumps across
-// empty stretches. The EventLoop itself must behave identically on either
-// implementation.
+// empty stretches. The EventLoop, which runs on the wheel, must behave
+// identically to a reference loop driven by the heap.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "netsim/event_loop.h"
@@ -168,98 +171,159 @@ TEST(TimerWheel, MillionEntriesDrainSorted) {
 }
 
 // ---------------------------------------------------------------------------
-// EventLoop on both queue implementations.
+// EventLoop against a reference loop on the binary heap.
 
-class EventLoopBothImpls : public ::testing::TestWithParam<TimerQueue> {};
+// EventLoop's contract with TimerHeap as the store: the reference the
+// wheel-backed EventLoop must match event for event.
+class HeapLoop {
+ public:
+  using Callback = EventLoop::Callback;
+
+  SimTime now() const noexcept { return now_; }
+  SimTime next_event_time() const noexcept { return heap_.peek_next_time(); }
+
+  void schedule_in(SimTime delay, Callback fn) {
+    if (delay < 0) throw std::invalid_argument("negative delay");
+    schedule_at(now_ + delay, std::move(fn));
+  }
+  void schedule_at(SimTime when, Callback fn) {
+    if (when < now_) throw std::invalid_argument("scheduling in the past");
+    heap_.push(when, next_seq_++, std::move(fn));
+  }
+  void advance(SimTime delta) { now_ += delta; }
+
+  std::size_t run() { return run_until(kNever); }
+  std::size_t run_until(SimTime deadline) {
+    std::size_t count = 0;
+    TimerEntry<Callback> ev;
+    while (heap_.peek_next_time() <= deadline && heap_.pop_next(ev)) {
+      if (ev.when > now_) now_ = ev.when;
+      ev.payload();
+      ++count;
+    }
+    if (deadline != kNever && deadline > now_) now_ = deadline;
+    return count;
+  }
+
+ private:
+  static constexpr SimTime kNever = TimerHeap<Callback>::kNever;
+  SimTime now_ = 0;
+  std::uint64_t next_seq_ = 0;
+  TimerHeap<Callback> heap_;
+};
+
+enum class LoopImpl { kWheel, kHeap };
+
+// Runs `body` on a fresh EventLoop (kWheel) or HeapLoop (kHeap).
+template <typename Body>
+void on_loop(LoopImpl impl, Body body) {
+  if (impl == LoopImpl::kWheel) {
+    EventLoop loop;
+    body(loop);
+  } else {
+    HeapLoop loop;
+    body(loop);
+  }
+}
+
+class EventLoopBothImpls : public ::testing::TestWithParam<LoopImpl> {};
 
 TEST_P(EventLoopBothImpls, FiresInScheduleOrderAtEqualTimes) {
-  EventLoop loop(GetParam());
-  std::vector<int> order;
-  loop.schedule_at(10, [&] { order.push_back(1); });
-  loop.schedule_at(10, [&] { order.push_back(2); });
-  loop.schedule_at(5, [&] { order.push_back(0); });
-  EXPECT_EQ(loop.run(), 3u);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(loop.now(), 10u);
+  on_loop(GetParam(), [](auto& loop) {
+    std::vector<int> order;
+    loop.schedule_at(10, [&] { order.push_back(1); });
+    loop.schedule_at(10, [&] { order.push_back(2); });
+    loop.schedule_at(5, [&] { order.push_back(0); });
+    EXPECT_EQ(loop.run(), 3u);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(loop.now(), 10u);
+  });
 }
 
 TEST_P(EventLoopBothImpls, RejectsSchedulingInThePast) {
-  EventLoop loop(GetParam());
-  loop.schedule_at(100, [] {});
-  loop.run();
-  EXPECT_THROW(loop.schedule_at(99, [] {}), std::invalid_argument);
-  loop.schedule_at(100, [] {});  // == now is allowed
-  EXPECT_EQ(loop.run(), 1u);
+  on_loop(GetParam(), [](auto& loop) {
+    loop.schedule_at(100, [] {});
+    loop.run();
+    EXPECT_THROW(loop.schedule_at(99, [] {}), std::invalid_argument);
+    loop.schedule_at(100, [] {});  // == now is allowed
+    EXPECT_EQ(loop.run(), 1u);
+  });
 }
 
 TEST_P(EventLoopBothImpls, RunUntilStopsAtDeadline) {
-  EventLoop loop(GetParam());
-  std::vector<int> fired;
-  loop.schedule_at(10, [&] { fired.push_back(10); });
-  loop.schedule_at(20, [&] { fired.push_back(20); });
-  loop.schedule_at(30, [&] { fired.push_back(30); });
-  EXPECT_EQ(loop.run_until(20), 2u);
-  EXPECT_EQ(fired, (std::vector<int>{10, 20}));
-  EXPECT_EQ(loop.now(), 20u);
-  EXPECT_EQ(loop.next_event_time(), 30u);
-  EXPECT_EQ(loop.run_until(25), 0u);
-  EXPECT_EQ(loop.now(), 25u);
+  on_loop(GetParam(), [](auto& loop) {
+    std::vector<int> fired;
+    loop.schedule_at(10, [&] { fired.push_back(10); });
+    loop.schedule_at(20, [&] { fired.push_back(20); });
+    loop.schedule_at(30, [&] { fired.push_back(30); });
+    EXPECT_EQ(loop.run_until(20), 2u);
+    EXPECT_EQ(fired, (std::vector<int>{10, 20}));
+    EXPECT_EQ(loop.now(), 20u);
+    EXPECT_EQ(loop.next_event_time(), 30u);
+    EXPECT_EQ(loop.run_until(25), 0u);
+    EXPECT_EQ(loop.now(), 25u);
+  });
 }
 
 TEST_P(EventLoopBothImpls, AdvancePastPendingThenRun) {
   // advance() can push now beyond pending timers (the RPC transport does);
   // the overdue events still fire, at the advanced clock.
-  EventLoop loop(GetParam());
-  std::vector<SimTime> at;
-  loop.schedule_at(10, [&] { at.push_back(loop.now()); });
-  loop.advance(50);
-  loop.schedule_at(60, [&] { at.push_back(loop.now()); });
-  EXPECT_EQ(loop.run(), 2u);
-  EXPECT_EQ(at, (std::vector<SimTime>{50, 60}));
+  on_loop(GetParam(), [](auto& loop) {
+    std::vector<SimTime> at;
+    loop.schedule_at(10, [&] { at.push_back(loop.now()); });
+    loop.advance(50);
+    loop.schedule_at(60, [&] { at.push_back(loop.now()); });
+    EXPECT_EQ(loop.run(), 2u);
+    EXPECT_EQ(at, (std::vector<SimTime>{50, 60}));
+  });
 }
 
 TEST_P(EventLoopBothImpls, SelfReschedulingChain) {
-  EventLoop loop(GetParam());
-  int fired = 0;
-  std::function<void()> tick = [&] {
-    if (++fired < 100) loop.schedule_in(7, tick);
-  };
-  loop.schedule_in(7, tick);
-  EXPECT_EQ(loop.run(), 100u);
-  EXPECT_EQ(loop.now(), 700u);
+  on_loop(GetParam(), [](auto& loop) {
+    int fired = 0;
+    std::function<void()> tick = [&] {
+      if (++fired < 100) loop.schedule_in(7, tick);
+    };
+    loop.schedule_in(7, tick);
+    EXPECT_EQ(loop.run(), 100u);
+    EXPECT_EQ(loop.now(), 700u);
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(WheelAndHeap, EventLoopBothImpls,
-                         ::testing::Values(TimerQueue::kWheel,
-                                           TimerQueue::kHeap),
+                         ::testing::Values(LoopImpl::kWheel, LoopImpl::kHeap),
                          [](const auto& info) {
-                           return info.param == TimerQueue::kWheel ? "Wheel"
-                                                                   : "Heap";
+                           return info.param == LoopImpl::kWheel ? "Wheel"
+                                                                 : "Heap";
                          });
 
 TEST(EventLoopEquivalence, RandomWorkloadIdenticalOnBothImpls) {
-  // The same randomized self-scheduling workload on both implementations
-  // must produce the same firing log (time, id) — the determinism claim
-  // that lets the wheel replace the heap without touching any result.
+  // The same randomized self-scheduling workload on the EventLoop and on
+  // the heap reference must produce the same firing log (time, id) — the
+  // determinism claim that lets the wheel replace the heap without
+  // touching any result.
   std::vector<std::pair<SimTime, int>> logs[2];
-  for (const auto impl : {TimerQueue::kWheel, TimerQueue::kHeap}) {
-    auto& log = logs[impl == TimerQueue::kHeap];
-    EventLoop loop(impl);
-    Rng rng(31);
-    int next_id = 0;
-    std::function<void(int)> fire = [&](int id) {
-      log.emplace_back(loop.now(), id);
-      for (int child = 0; child < static_cast<int>(rng.uniform(3)); ++child) {
-        if (next_id >= 3000) return;
-        const int cid = next_id++;
-        loop.schedule_in(rng.uniform(1000), [&, cid] { fire(cid); });
+  for (const auto impl : {LoopImpl::kWheel, LoopImpl::kHeap}) {
+    auto& log = logs[impl == LoopImpl::kHeap];
+    on_loop(impl, [&log](auto& loop) {
+      Rng rng(31);
+      int next_id = 0;
+      std::function<void(int)> fire = [&](int id) {
+        log.emplace_back(loop.now(), id);
+        for (int child = 0; child < static_cast<int>(rng.uniform(3)); ++child) {
+          if (next_id >= 3000) return;
+          const int cid = next_id++;
+          loop.schedule_in(static_cast<SimTime>(rng.uniform(1000)),
+                           [&, cid] { fire(cid); });
+        }
+      };
+      for (int i = 0; i < 50; ++i) {
+        const int id = next_id++;
+        loop.schedule_at(static_cast<SimTime>(rng.uniform(500)),
+                         [&, id] { fire(id); });
       }
-    };
-    for (int i = 0; i < 50; ++i) {
-      const int id = next_id++;
-      loop.schedule_at(rng.uniform(500), [&, id] { fire(id); });
-    }
-    loop.run();
+      loop.run();
+    });
   }
   EXPECT_EQ(logs[0].size(), logs[1].size());
   EXPECT_EQ(logs[0], logs[1]);
