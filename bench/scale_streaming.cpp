@@ -10,9 +10,12 @@
 // across worker threads 1/2/4/8, pinned and unpinned — requiring every
 // sampled digest to equal the serial one. --sweep=1 times those
 // thread-count runs into a q/s-vs-cores scaling curve (scale.sweep.*
-// gauges); --min-speedup-pct=N gates the 4-thread run against the 1-thread
-// run (200 = "at least 2x"), auto-skipped with a warning on machines with
-// fewer than 4 online CPUs where the comparison is physically meaningless.
+// gauges); every cell also prints its shard-busy imbalance, so a missed
+// speedup names its straggler. --min-speedup-pct=N gates the 4-thread run
+// against the 1-thread run (200 = "at least 2x"), auto-skipped with a
+// warning on machines with fewer than 4 online CPUs where the comparison
+// is physically meaningless.
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -143,6 +146,16 @@ int main(int argc, char** argv) {
         resolvers >= 8 ? 8 : std::max<std::size_t>(1, resolvers);
     double qps_t1 = 0;
     double qps_t4 = 0;
+    // The engine's busy counters accumulate in the global registry across
+    // cells, so each cell reads its own shards' busy time as a delta.
+    const auto shard_busy_us = [&registry, matrix_shards] {
+      std::vector<std::uint64_t> busy(matrix_shards);
+      for (std::size_t i = 0; i < matrix_shards; ++i) {
+        busy[i] = registry.counter("engine.shard" + std::to_string(i) + ".busy_us")
+                      .value();
+      }
+      return busy;
+    };
     std::printf("\n  scaling matrix (shards=%zu):\n", matrix_shards);
     for (const bool pinned : {false, true}) {
       for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
@@ -152,6 +165,7 @@ int main(int argc, char** argv) {
         options.threads = threads;
         options.pin_threads = pinned;
         options.runtime_metrics = true;
+        const std::vector<std::uint64_t> busy_before = shard_busy_us();
         const auto cell_start = std::chrono::steady_clock::now();
         const auto sharded =
             simulate_cache_stream(cdn_stream_factory(config), options);
@@ -163,9 +177,23 @@ int main(int argc, char** argv) {
             sampled_result_digest(sharded, 64, config.seed);
         const double cell_qps =
             cell_wall > 0 ? static_cast<double>(queries) / cell_wall : 0.0;
-        std::printf("    threads=%zu %-8s %10.0f q/s  digest %016" PRIx64
-                    " %s\n",
-                    threads, pinned ? "pinned" : "unpinned", cell_qps, digest,
+        // Shard-busy imbalance (max / mean): near 1 when the shards carry
+        // equal work; well above 1 names a straggler that caps the speedup.
+        const std::vector<std::uint64_t> busy_after = shard_busy_us();
+        std::uint64_t busy_max = 0;
+        std::uint64_t busy_sum = 0;
+        for (std::size_t i = 0; i < matrix_shards; ++i) {
+          const std::uint64_t busy = busy_after[i] - busy_before[i];
+          busy_max = std::max(busy_max, busy);
+          busy_sum += busy;
+        }
+        const double busy_mean =
+            static_cast<double>(busy_sum) / static_cast<double>(matrix_shards);
+        std::printf("    threads=%zu %-8s %10.0f q/s  busy max/mean %.2f "
+                    "(max %.0f ms)  digest %016" PRIx64 " %s\n",
+                    threads, pinned ? "pinned" : "unpinned", cell_qps,
+                    busy_mean > 0 ? static_cast<double>(busy_max) / busy_mean : 0.0,
+                    static_cast<double>(busy_max) / 1e3, digest,
                     digest == expect ? "ok" : "MISMATCH");
         if (digest != expect) ok = false;
         if (sweep) {

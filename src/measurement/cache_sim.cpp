@@ -246,7 +246,7 @@ class BoundedCacheSim {
 //    the same hit/miss decision and live count at every insert whatever
 //    other resolvers share the queue. That is why simulate_cache_stream
 //    shards unbounded replays of time-ordered streams only.
-// Shards exchange no mail, so the whole replay runs inside the first epoch.
+// Shards share nothing, so each runs its whole replay in one run() call.
 class ResolverShard final : public netsim::ShardProgram {
  public:
   ResolverShard(std::unique_ptr<TraceStream> stream, const CacheSimOptions& options,
@@ -259,9 +259,7 @@ class ResolverShard final : public netsim::ShardProgram {
         results_(results),
         filter_(shards > 1 && !stream_->restrict_to_members(index, shards)) {}
 
-  void epoch(netsim::ShardContext& ctx, SimTime) override {
-    if (done_) return;
-    done_ = true;
+  void run(netsim::ShardContext& ctx) override {
     const std::uint32_t resolvers = stream_->info().resolvers;
     if (options_.max_entries_per_resolver) {
       replay(BoundedCacheSim(resolvers, options_, ctx.metrics()));
@@ -274,8 +272,6 @@ class ResolverShard final : public netsim::ShardProgram {
     ctx.metrics().counter("cache_sim.hits").inc(hits);
     ctx.metrics().counter("cache_sim.misses").inc(misses);
   }
-
-  bool done(const netsim::ShardContext&) const override { return done_; }
 
   void finish(netsim::ShardContext&) override {
     // Serial, in shard-index order: publish owned resolvers' rows.
@@ -301,7 +297,6 @@ class ResolverShard final : public netsim::ShardProgram {
   std::vector<ResolverCacheResult>& results_;
   // The stream could not restrict itself: drop foreign resolvers here.
   bool filter_;
-  bool done_ = false;
   // Every resolver's row; the owned ones are this shard's result.
   CacheSimResult rows_;
 };

@@ -90,9 +90,12 @@ struct CacheSimOptions {
   // results; forwarded to ParallelConfig::pin_threads.
   bool pin_threads = false;
   // Forwarded to ParallelConfig::runtime_metrics: per-shard busy counters
-  // and barrier-wait histograms in the merged export. Run metadata, exempt
-  // from the byte-identity contract — leave off anywhere exports are
-  // compared across shard/thread counts.
+  // (`engine.shard<i>.busy_us`) and the per-worker straggler-wait
+  // histogram (`engine.barrier_wait_us`), merged into the global registry.
+  // Counters accumulate across calls, so a caller comparing several
+  // replays reads each one's delta. Run metadata, exempt from the
+  // byte-identity contract — leave off anywhere exports are compared
+  // across shard/thread counts.
   bool runtime_metrics = false;
 };
 

@@ -43,8 +43,7 @@ class EventLoop {
   std::size_t pending() const noexcept { return wheel_.size(); }
 
   // Fire time of the earliest pending event, or kNever when the queue is
-  // empty. The parallel engine uses this to decide whether a shard still
-  // has work inside the current epoch.
+  // empty. run_until() uses this to stop at its deadline.
   SimTime next_event_time() const noexcept { return wheel_.peek_next_time(); }
 
  private:

@@ -5,9 +5,9 @@
 // product is `pin_order()`: the CPU list a worker pool should pin against —
 // one CPU per physical core first (ascending package, then core id), SMT
 // siblings only after every physical core already has a worker. Pinning one
-// shard per physical core is what turns the lock-step engine's per-epoch
-// barrier from a scheduler lottery into a fixed-latency rendezvous; SMT
-// siblings share execution ports, so they are last-resort targets.
+// shard worker per physical core keeps the parallel engine's workers from
+// sharing a core's execution ports with each other; SMT siblings share
+// those ports, so they are last-resort targets.
 //
 // Everything here is best-effort by design: a container with a masked
 // sysfs, a restricted seccomp profile, or a cgroup cpuset that denies

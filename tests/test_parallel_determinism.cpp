@@ -1,16 +1,16 @@
 // The sharded parallel engine and its serial-equivalence oracle.
 //
 // Two layers of guarantees are exercised here:
-//  1. Engine-level determinism: with a fixed seed and shard count, a
-//     ParallelEngine run is bit-identical for any thread count (mailbox
-//     ordering, RNG stream splitting, metrics merging).
+//  1. Engine-level determinism: with a fixed shard count, a ParallelEngine
+//     run is bit-identical for any thread count and pinning (share-nothing
+//     shards, shard-order finish, metrics merging), and a failing shard's
+//     exception surfaces the same way at every thread count.
 //  2. Program-level serial equivalence: the sharded cache replay produces
 //     byte-identical results — full CacheSimResult, exported metrics JSON,
 //     and the fig2/fig3-style formatted CSV cells — for ANY shard count,
 //     including the serial shards=1 path.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -18,9 +18,8 @@
 #include <utility>
 #include <vector>
 
+#include "dnscore/hashing.h"
 #include "measurement/cache_sim.h"
-#include "measurement/fleet.h"
-#include "measurement/sharding.h"
 #include "measurement/stats.h"
 #include "measurement/tracegen.h"
 #include "netsim/parallel_engine.h"
@@ -40,193 +39,63 @@ using netsim::SimTime;
 // ---------------------------------------------------------------------------
 // Engine-level tests
 
-TEST(ParallelEngine, ConservativeEpochIsMinimumOneWayLatency) {
-  const netsim::LatencyModel model;
-  // Two nodes at zero distance still pay the fixed per-direction overhead;
-  // no simulated packet crosses shards faster than that.
-  EXPECT_EQ(netsim::conservative_epoch(model), model.one_way(0.0));
-  EXPECT_GT(netsim::conservative_epoch(model), 0);
-}
-
 TEST(ParallelEngine, ValidatesConfiguration) {
   ParallelConfig config;
   config.shards = 2;
   std::vector<std::unique_ptr<ShardProgram>> none;
   EXPECT_THROW(ParallelEngine(config, std::move(none)), std::invalid_argument);
-  config.epoch = 0;
-  std::vector<std::unique_ptr<ShardProgram>> two;
-  struct Idle final : ShardProgram {
-    void epoch(ShardContext&, SimTime) override {}
-    bool done(const ShardContext&) const override { return true; }
-  };
-  two.push_back(std::make_unique<Idle>());
-  two.push_back(std::make_unique<Idle>());
-  EXPECT_THROW(ParallelEngine(config, std::move(two)), std::invalid_argument);
-}
-
-namespace mail_order {
-struct Program final : ShardProgram {
-  std::vector<std::pair<std::size_t, int>>* log = nullptr;
-  int epochs = 0;
-  void epoch(ShardContext& ctx, SimTime) override {
-    if (epochs++ > 0) return;
-    for (int m = 0; m < 2; ++m) {
-      const std::size_t src = ctx.index();
-      ctx.post(0, [src, m, sink = log](ShardContext& receiver) {
-        EXPECT_EQ(receiver.index(), 0u);
-        sink->push_back({src, m});
-      });
-    }
-  }
-  bool done(const ShardContext&) const override { return epochs >= 1; }
-};
-}  // namespace mail_order
-
-TEST(ParallelEngine, ControlMailDeliversNextEpochInSourceFifoOrder) {
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-    std::vector<std::pair<std::size_t, int>> log;
-    std::vector<std::unique_ptr<ShardProgram>> programs;
-    for (int i = 0; i < 3; ++i) {
-      auto p = std::make_unique<mail_order::Program>();
-      p->log = &log;
-      programs.push_back(std::move(p));
-    }
-    ParallelConfig config;
-    config.shards = 3;
-    config.threads = threads;
-    ParallelEngine engine(config, std::move(programs));
-    EXPECT_GE(engine.run(), 2u);  // posting epoch + delivery epoch
-    const std::vector<std::pair<std::size_t, int>> want{
-        {0, 0}, {0, 1}, {1, 0}, {1, 1}, {2, 0}, {2, 1}};
-    EXPECT_EQ(log, want) << "threads=" << threads;
-  }
-}
-
-namespace timed_mail {
-struct Program final : ShardProgram {
-  std::vector<Program*>* directory = nullptr;
-  SimTime* fired_at = nullptr;
-  ShardContext* self = nullptr;
-  int epochs = 0;
-  void setup(ShardContext& ctx) override { self = &ctx; }
-  void epoch(ShardContext& ctx, SimTime epoch_end) override {
-    if (epochs++ > 0 || ctx.index() != 0) return;
-    // Lands on shard 1's loop one epoch out; the callback must observe the
-    // receiver's clock at exactly the requested simulation time.
-    const SimTime when = epoch_end + 250;
-    auto* sink = fired_at;
-    auto* receiver_loop = &(*directory)[1]->self->loop();
-    ctx.post_at(1, when, [sink, receiver_loop] { *sink = receiver_loop->now(); });
-  }
-  bool done(const ShardContext&) const override { return epochs >= 1; }
-};
-}  // namespace timed_mail
-
-TEST(ParallelEngine, TimedMailRunsAtRequestedTimeOnReceiverLoop) {
-  SimTime fired_at = -1;
-  std::vector<timed_mail::Program*> directory(2, nullptr);
-  std::vector<std::unique_ptr<ShardProgram>> programs;
-  for (int i = 0; i < 2; ++i) {
-    auto p = std::make_unique<timed_mail::Program>();
-    p->fired_at = &fired_at;
-    p->directory = &directory;
-    directory[static_cast<std::size_t>(i)] = p.get();
-    programs.push_back(std::move(p));
-  }
-  ParallelConfig config;
-  config.shards = 2;
-  config.epoch = 1000;
-  ParallelEngine engine(config, std::move(programs));
-  engine.run();
-  EXPECT_EQ(fired_at, 1250);
-}
-
-namespace bad_mail {
-struct BelowBound final : ShardProgram {
-  void epoch(ShardContext& ctx, SimTime epoch_end) override {
-    if (ctx.index() == 0) ctx.post_at(1, epoch_end - 1, [] {});
-  }
-  bool done(const ShardContext&) const override { return true; }
-};
-struct UnknownShard final : ShardProgram {
-  void epoch(ShardContext& ctx, SimTime) override {
-    ctx.post(99, [](ShardContext&) {});
-  }
-  bool done(const ShardContext&) const override { return true; }
-};
-}  // namespace bad_mail
-
-TEST(ParallelEngine, PostAtBelowConservativeBoundThrowsThroughRun) {
-  std::vector<std::unique_ptr<ShardProgram>> programs;
-  programs.push_back(std::make_unique<bad_mail::BelowBound>());
-  programs.push_back(std::make_unique<bad_mail::BelowBound>());
-  ParallelConfig config;
-  config.shards = 2;
-  ParallelEngine engine(config, std::move(programs));
-  EXPECT_THROW(engine.run(), std::invalid_argument);
-}
-
-TEST(ParallelEngine, PostToUnknownShardThrowsThroughRun) {
-  std::vector<std::unique_ptr<ShardProgram>> programs;
-  programs.push_back(std::make_unique<bad_mail::UnknownShard>());
-  ParallelConfig config;
-  config.shards = 1;
-  ParallelEngine engine(config, std::move(programs));
-  EXPECT_THROW(engine.run(), std::out_of_range);
 }
 
 // A toy program exercising every determinism-relevant engine feature at
-// once: per-shard RNG streams, control mail, timed mail, and per-shard
-// metrics. The final state must not depend on the worker thread count.
+// once: shard-distinct results published by finish(), and per-shard
+// counter and histogram values merged into one export. The final state
+// must not depend on the worker thread count or pinning.
 namespace toy {
+constexpr std::size_t kShards = 4;
+
 struct Program final : ShardProgram {
-  static constexpr int kEpochs = 8;
-  std::vector<Program*>* directory = nullptr;
+  static constexpr int kSteps = 64;
   std::vector<std::uint64_t>* out = nullptr;
   std::uint64_t hash = 0;
-  std::uint64_t timed_hits = 0;
-  int epochs = 0;
 
-  void epoch(ShardContext& ctx, SimTime epoch_end) override {
-    if (epochs >= kEpochs) return;
-    ++epochs;
-    const std::uint64_t draw = ctx.rng().next_u64();
-    hash = hash * 1099511628211ull ^ draw;
-    ctx.metrics().counter("toy.epochs").inc();
-    ctx.metrics().histogram("toy.draw_low_byte").observe(draw & 0xff);
-    const std::size_t to = (ctx.index() + 1) % ctx.shard_count();
-    Program* peer = (*directory)[to];
-    ctx.post(to, [peer, draw](ShardContext&) {
-      peer->hash = peer->hash * 1099511628211ull ^ ~draw;
-    });
-    ctx.post_at(to, epoch_end + 7, [peer] { ++peer->timed_hits; });
+  void run(ShardContext& ctx) override {
+    // A SplitMix64 walk seeded by the shard index: every shard computes a
+    // different sequence, so a result or metric attributed to the wrong
+    // shard changes the outcome.
+    std::uint64_t x = ctx.index() + 1;
+    for (int step = 0; step < kSteps; ++step) {
+      x = dnscore::mix64(x);
+      hash = hash * 1099511628211ull ^ x;
+      ctx.metrics().counter("toy.steps").inc();
+      ctx.metrics()
+          .counter("toy.shard" + std::to_string(ctx.index()) + ".low_bits")
+          .inc(x & 0xff);
+      ctx.metrics().histogram("toy.low_byte").observe(x & 0xff);
+    }
   }
-  bool done(const ShardContext&) const override { return epochs >= kEpochs; }
-  void finish(ShardContext& ctx) override {
-    (*out)[ctx.index()] = hash * 31 + timed_hits;
-  }
+  void finish(ShardContext& ctx) override { (*out)[ctx.index()] = hash; }
 };
+
+std::vector<std::unique_ptr<ShardProgram>> programs(
+    std::vector<std::uint64_t>& results) {
+  std::vector<std::unique_ptr<ShardProgram>> out;
+  for (std::size_t i = 0; i < kShards; ++i) {
+    auto p = std::make_unique<Program>();
+    p->out = &results;
+    out.push_back(std::move(p));
+  }
+  return out;
+}
 
 std::pair<std::vector<std::uint64_t>, std::string> run(
     std::size_t threads, bool pin = false, std::vector<int> pin_cpus = {}) {
-  constexpr std::size_t kShards = 4;
   std::vector<std::uint64_t> results(kShards, 0);
-  std::vector<Program*> directory(kShards, nullptr);
-  std::vector<std::unique_ptr<ShardProgram>> programs;
-  for (std::size_t i = 0; i < kShards; ++i) {
-    auto p = std::make_unique<Program>();
-    p->directory = &directory;
-    p->out = &results;
-    directory[i] = p.get();
-    programs.push_back(std::move(p));
-  }
   ParallelConfig config;
   config.shards = kShards;
   config.threads = threads;
-  config.seed = 99;
   config.pin_threads = pin;
   config.pin_cpus = std::move(pin_cpus);
-  ParallelEngine engine(config, std::move(programs));
+  ParallelEngine engine(config, programs(results));
   engine.run();
   obs::MetricsRegistry merged;
   engine.merge_metrics(merged);
@@ -236,6 +105,17 @@ std::pair<std::vector<std::uint64_t>, std::string> run(
 
 TEST(ParallelEngine, ThreadCountNeverChangesResultsOrMetrics) {
   const auto baseline = toy::run(1);
+  // Not vacuous: every shard published its own distinct result, and the
+  // export carries each shard's own counter.
+  for (std::size_t i = 0; i < toy::kShards; ++i) {
+    EXPECT_NE(baseline.first[i], 0u) << "shard " << i;
+    for (std::size_t j = 0; j < i; ++j) {
+      EXPECT_NE(baseline.first[i], baseline.first[j]) << i << " vs " << j;
+    }
+    EXPECT_NE(baseline.second.find("toy.shard" + std::to_string(i) + ".low_bits"),
+              std::string::npos)
+        << baseline.second;
+  }
   for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
     const auto got = toy::run(threads);
     EXPECT_EQ(got.first, baseline.first) << "threads=" << threads;
@@ -244,9 +124,9 @@ TEST(ParallelEngine, ThreadCountNeverChangesResultsOrMetrics) {
 }
 
 TEST(ParallelEngine, PinningNeverChangesResultsOrMetrics) {
-  // The core determinism contract of this PR: pinned and unpinned runs at
-  // every thread count produce bit-identical results AND metrics exports —
-  // whether the pins land (real CPUs) or fall back (affinity denied).
+  // Pinned and unpinned runs at every thread count produce bit-identical
+  // results AND metrics exports — whether the pins land (real CPUs) or
+  // fall back (affinity denied).
   const auto baseline = toy::run(1);
   for (const bool pinned : {false, true}) {
     for (const std::size_t threads :
@@ -279,33 +159,22 @@ TEST(ParallelEngine, RuntimeMetricsAreOptInAndDoNotChangeResults) {
   // Wall-clock counters (engine.shardN.busy_us, engine.barrier_wait_us) are
   // nondeterministic by nature, so they must be absent by default — the
   // byte-identical metrics contract depends on it — and appear only when
-  // asked for, without perturbing the simulation results.
+  // asked for, without perturbing the results.
   const auto baseline = toy::run(2);
   EXPECT_EQ(baseline.second.find("engine.shard"), std::string::npos);
 
-  constexpr std::size_t kShards = 4;
-  std::vector<std::uint64_t> results(kShards, 0);
-  std::vector<toy::Program*> directory(kShards, nullptr);
-  std::vector<std::unique_ptr<ShardProgram>> programs;
-  for (std::size_t i = 0; i < kShards; ++i) {
-    auto p = std::make_unique<toy::Program>();
-    p->directory = &directory;
-    p->out = &results;
-    directory[i] = p.get();
-    programs.push_back(std::move(p));
-  }
+  std::vector<std::uint64_t> results(toy::kShards, 0);
   ParallelConfig config;
-  config.shards = kShards;
+  config.shards = toy::kShards;
   config.threads = 2;
-  config.seed = 99;
   config.runtime_metrics = true;
-  ParallelEngine engine(config, std::move(programs));
+  ParallelEngine engine(config, toy::programs(results));
   engine.run();
   EXPECT_EQ(results, baseline.first);
   obs::MetricsRegistry merged;
   engine.merge_metrics(merged);
   const std::string json = obs::metrics_json(merged, "toy", 0.0);
-  for (std::size_t i = 0; i < kShards; ++i) {
+  for (std::size_t i = 0; i < toy::kShards; ++i) {
     EXPECT_NE(json.find("engine.shard" + std::to_string(i) + ".busy_us"),
               std::string::npos)
         << json;
@@ -315,8 +184,7 @@ TEST(ParallelEngine, RuntimeMetricsAreOptInAndDoNotChangeResults) {
 
 TEST(ParallelEngine, PinFallbackReportsPinnedWorkerCount) {
   struct Idle final : ShardProgram {
-    void epoch(ShardContext&, SimTime) override {}
-    bool done(const ShardContext&) const override { return true; }
+    void run(ShardContext&) override {}
   };
   std::vector<std::unique_ptr<ShardProgram>> programs;
   programs.push_back(std::make_unique<Idle>());
@@ -333,34 +201,50 @@ TEST(ParallelEngine, PinFallbackReportsPinnedWorkerCount) {
   EXPECT_EQ(engine.pinned_workers(), 0u);
 }
 
-// ---------------------------------------------------------------------------
-// Fleet partitioning
-
-TEST(Sharding, PartitionFleetIsStableDisjointAndComplete) {
-  Fleet fleet;
-  for (std::uint32_t i = 0; i < 64; ++i) {
-    FleetMember m;
-    m.address = IpAddress::v4((10u << 24) | (i << 8) | 1u);
-    fleet.members.push_back(std::move(m));
+namespace failing {
+// Shards 1 and 3 throw distinct exceptions; every shard counts its
+// finish() calls in one shared tally (finish runs serially).
+struct Program final : ShardProgram {
+  int* finishes = nullptr;
+  void run(ShardContext& ctx) override {
+    if (ctx.index() == 1) throw std::runtime_error("shard 1");
+    if (ctx.index() == 3) throw std::logic_error("shard 3");
   }
-  const auto parts = partition_fleet(fleet, 4);
-  ASSERT_EQ(parts.size(), 4u);
-  std::vector<std::size_t> seen;
-  for (std::size_t s = 0; s < parts.size(); ++s) {
-    EXPECT_TRUE(std::is_sorted(parts[s].begin(), parts[s].end()));
-    for (const std::size_t i : parts[s]) {
-      seen.push_back(i);
-      // Ownership is a pure function of the member's address.
-      EXPECT_EQ(shard_of_address(fleet.members[i].address, 4), s);
+  void finish(ShardContext&) override { ++*finishes; }
+};
+}  // namespace failing
+
+TEST(ParallelEngine, ProgramExceptionIsRethrownInShardOrder) {
+  for (const bool pinned : {false, true}) {
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+      const std::string label =
+          "threads=" + std::to_string(threads) + " pinned=" + std::to_string(pinned);
+      int finishes = 0;
+      std::vector<std::unique_ptr<ShardProgram>> programs;
+      for (int i = 0; i < 4; ++i) {
+        auto p = std::make_unique<failing::Program>();
+        p->finishes = &finishes;
+        programs.push_back(std::move(p));
+      }
+      ParallelConfig config;
+      config.shards = 4;
+      config.threads = threads;
+      config.pin_threads = pinned;
+      ParallelEngine engine(config, std::move(programs));
+      testing::internal::CaptureStderr();  // a denied pin warns
+      try {
+        engine.run();
+        ADD_FAILURE() << label << ": run() returned normally";
+      } catch (const std::runtime_error& e) {
+        EXPECT_EQ(std::string(e.what()), "shard 1") << label;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << label << ": rethrew " << e.what();
+      }
+      (void)testing::internal::GetCapturedStderr();
+      EXPECT_EQ(finishes, 0) << label;
     }
   }
-  std::sort(seen.begin(), seen.end());
-  ASSERT_EQ(seen.size(), fleet.members.size());
-  for (std::size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], i);
-  // Stable across calls, and shards=0/1 degenerate to one group.
-  EXPECT_EQ(partition_fleet(fleet, 4), parts);
-  EXPECT_EQ(partition_fleet(fleet, 0).size(), 1u);
-  EXPECT_EQ(partition_fleet(fleet, 1)[0].size(), fleet.members.size());
 }
 
 // ---------------------------------------------------------------------------
