@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <memory>
+#include <new>
 #include <queue>
 #include <stdexcept>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -58,36 +60,85 @@ StreamingCacheSim::StreamingCacheSim(std::uint32_t resolvers,
   for (std::uint32_t r = 0; r < resolvers; ++r) results_[r].resolver = r;
 }
 
+void StreamingCacheSim::ExpiryQueue::push(const Expiry& e) {
+  if (size_ == 0 || e.when >= back_) {
+    if (size_ == capacity_) grow_ring();
+    ring_.get()[tail_] = e;
+    if (++tail_ == capacity_) tail_ = 0;
+    ++size_;
+    back_ = e.when;
+    ++ring_pushes_;
+    return;
+  }
+  heap_.push_back(e);
+  std::push_heap(heap_.begin(), heap_.end(), LaterExpiry{});
+  ++heap_pushes_;
+}
+
+template <typename Retire>
+void StreamingCacheSim::ExpiryQueue::retire_until(SimTime now, Retire&& retire) {
+  Expiry* const ring = ring_.get();
+  while (size_ > 0 && ring[head_].when <= now) {
+    retire(ring[head_]);
+    if (++head_ == capacity_) head_ = 0;
+    --size_;
+  }
+  while (!heap_.empty() && heap_.front().when <= now) {
+    std::pop_heap(heap_.begin(), heap_.end(), LaterExpiry{});
+    retire(heap_.back());
+    heap_.pop_back();
+  }
+}
+
+// Called only when the ring is full. It grows by a quarter, not by
+// doubling: the ring holds one record per live entry, and at paper scale
+// that is the fold's largest buffer. It grows with realloc rather than a
+// new buffer and a copy, because glibc remaps a large block in place
+// (mremap) instead of copying it and freeing the old one; every such free
+// raises malloc's dynamic mmap threshold, and on the 100K-resolver
+// stream_replay benchmark (4-vCPU VM) that pushed later allocations onto
+// the brk heap for ~3 MB more peak RSS.
+void StreamingCacheSim::ExpiryQueue::grow_ring() {
+  static_assert(std::is_trivially_copyable_v<Expiry>);
+  constexpr std::size_t kMinRing = 1024;
+  const std::size_t capacity = std::max(kMinRing, capacity_ + capacity_ / 4);
+  void* grown = std::realloc(ring_.get(), capacity * sizeof(Expiry));
+  if (grown == nullptr) throw std::bad_alloc();
+  (void)ring_.release();
+  ring_.reset(static_cast<Expiry*>(grown));
+  if (size_ > 0) {
+    // The records run from head_ to the old end, then wrap round to tail_
+    // (== head_): slide the first run to the new end, and tail_ stays.
+    Expiry* const ring = ring_.get();
+    std::copy_backward(ring + head_, ring + capacity_, ring + capacity);
+    head_ += capacity - capacity_;
+  }
+  capacity_ = capacity;
+}
+
 void StreamingCacheSim::observe(const TraceQuery& q) {
   ++queries_;
-  // Retire everything that expired before this query.
-  while (!expirations_.empty() && expirations_.top().when <= q.time) {
-    const Expiry e = expirations_.top();
-    expirations_.pop();
-    const Slot* slot = cache_.find(e.key);
-    // Only erase if this expiration is current (the entry may have been
-    // refreshed after a miss).
-    if (slot != nullptr && slot->expiry <= e.when) {
-      --live_[e.key.resolver];
-      cache_.erase(e.key);
-    }
-  }
+  // Every cached key has exactly one pending record, pushed when it was
+  // inserted, whose `when` is its expiry: a key is inserted only while
+  // absent and leaves only when that record retires. So every retiring
+  // record erases its key, and a key still cached after the sweep expires
+  // after q.time.
+  expirations_.retire_until(q.time, [this](const Expiry& e) {
+    const bool erased = cache_.erase(e.key);
+    ECSDNS_DCHECK(erased);
+    --live_[e.key.resolver];
+  });
 
   const CacheKey key = cache_key_of(q, with_ecs_);
-
-  auto& result = results_.at(q.resolver);
-  Slot* found = cache_.find(key);
-  if (found != nullptr && found->expiry > q.time) {
+  auto& result = results_[q.resolver];
+  if (!cache_.insert_or_assign(key, Cached{}).second) {
     ++result.hits;
     return;
   }
   ++result.misses;
   const std::uint32_t ttl_s = ttl_override_.value_or(q.ttl_s);
   const SimTime expiry = q.time + static_cast<SimTime>(ttl_s) * netsim::kSecond;
-  const auto [new_slot, inserted] = cache_.insert_or_assign(key, Slot{expiry});
-  (void)new_slot;
-  if (inserted) ++live_[q.resolver];
-  result.max_cache_size = std::max(result.max_cache_size, live_[q.resolver]);
+  result.max_cache_size = std::max(result.max_cache_size, ++live_[q.resolver]);
   expirations_.push(Expiry{expiry, key});
 }
 
@@ -246,20 +297,27 @@ class BoundedCacheSim {
 //    the same hit/miss decision and live count at every insert whatever
 //    other resolvers share the queue. That is why simulate_cache_stream
 //    shards unbounded replays of time-ordered streams only.
-// Shards share nothing, so each runs its whole replay in one run() call.
+// Shards share nothing, so each runs its whole replay in one run() call,
+// building and restricting its own stream there: on the worker, so stream
+// set-up parallelizes with the replay instead of running serially ahead
+// of it.
 class ResolverShard final : public netsim::ShardProgram {
  public:
-  ResolverShard(std::unique_ptr<TraceStream> stream, const CacheSimOptions& options,
-                std::size_t index, std::size_t shards,
+  // `stream` is the shard's instance when the caller already built it
+  // (the dispatch probe), else null and run() builds one from `factory`.
+  ResolverShard(const TraceStreamFactory& factory, std::unique_ptr<TraceStream> stream,
+                const CacheSimOptions& options, std::size_t index, std::size_t shards,
                 std::vector<ResolverCacheResult>& results)
-      : stream_(std::move(stream)),
+      : factory_(factory),
+        stream_(std::move(stream)),
         options_(options),
         index_(index),
         shards_(shards),
-        results_(results),
-        filter_(shards > 1 && !stream_->restrict_to_members(index, shards)) {}
+        results_(results) {}
 
   void run(netsim::ShardContext& ctx) override {
+    if (!stream_) stream_ = factory_();
+    filter_ = shards_ > 1 && !stream_->restrict_to_members(index_, shards_);
     const std::uint32_t resolvers = stream_->info().resolvers;
     if (options_.max_entries_per_resolver) {
       replay(BoundedCacheSim(resolvers, options_, ctx.metrics()));
@@ -290,13 +348,14 @@ class ResolverShard final : public netsim::ShardProgram {
     rows_ = fold.finish();
   }
 
+  const TraceStreamFactory& factory_;
   std::unique_ptr<TraceStream> stream_;
   const CacheSimOptions& options_;
   std::size_t index_;
   std::size_t shards_;
   std::vector<ResolverCacheResult>& results_;
   // The stream could not restrict itself: drop foreign resolvers here.
-  bool filter_;
+  bool filter_ = false;
   // Every resolver's row; the owned ones are this shard's result.
   CacheSimResult rows_;
 };
@@ -305,7 +364,9 @@ class ResolverShard final : public netsim::ShardProgram {
 
 CacheSimResult simulate_cache_stream(const TraceStreamFactory& factory,
                                      const CacheSimOptions& options) {
-  // The probe answers the dispatch question and then replays as shard 0.
+  // The probe answers the dispatch question and then replays as shard 0;
+  // every other shard builds its stream on its worker, so the factory is
+  // called from several threads at once.
   auto probe = factory();
   const TraceStreamInfo info = probe->info();
   // A bounded fold is shard-invariant on any stream order; the unbounded
@@ -322,7 +383,7 @@ CacheSimResult simulate_cache_stream(const TraceStreamFactory& factory,
   programs.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s) {
     programs.push_back(std::make_unique<ResolverShard>(
-        s == 0 ? std::move(probe) : factory(), options, s, shards, results));
+        factory, s == 0 ? std::move(probe) : nullptr, options, s, shards, results));
   }
   netsim::ParallelConfig config;
   config.shards = shards;

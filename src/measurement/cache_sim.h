@@ -15,8 +15,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <optional>
-#include <queue>
 #include <vector>
 
 #include "dnscore/flat_hash.h"
@@ -127,6 +128,20 @@ struct CacheSimResult {
 // pipelines (the scale_streaming bench, custom aggregations) can interleave
 // generation and simulation without a trace in memory. Memory is O(live
 // cache entries + resolvers), independent of how many queries flow through.
+//
+// Pending expirations sit in a FIFO-first queue: a ring of records whose
+// `when` never decreases, plus a small heap for the rest. On a time-ordered
+// stream with one TTL every miss pushes a later expiry than the last, so
+// every record takes the ring and retiring one is a pop from its front
+// instead of a sift through a heap of every live entry. A record whose
+// `when` is below the ring's back (mixed TTLs, an unsorted trace) takes the
+// heap. Before each query observe() retires every record with
+// `when <= q.time` from both. Each cached key has exactly one pending
+// record, and retiring it erases that key, so the order records retire in
+// cannot change the result, and a key that survives the sweep is a hit
+// without reading any expiry. The ring grows by a quarter when full, so
+// steady-state observe() allocates nothing once the ring has reached the
+// live count.
 class StreamingCacheSim {
  public:
   StreamingCacheSim(std::uint32_t resolvers, const CacheSimOptions& options);
@@ -138,11 +153,15 @@ class StreamingCacheSim {
 
   std::uint64_t queries() const noexcept { return queries_; }
   std::size_t live_entries() const noexcept { return cache_.size(); }
+  // Expiry records pushed so far that took the ring or the heap; they sum
+  // to the misses.
+  std::uint64_t ring_pushes() const noexcept { return expirations_.ring_pushes(); }
+  std::uint64_t heap_pushes() const noexcept { return expirations_.heap_pushes(); }
 
  private:
-  struct Slot {
-    SimTime expiry = 0;
-  };
+  // The table is a set: a cached key's expiry lives only in its pending
+  // expiry record (see observe()).
+  struct Cached {};
   struct Expiry {
     SimTime when;
     detail::CacheKey key;
@@ -153,10 +172,39 @@ class StreamingCacheSim {
     }
   };
 
+  class ExpiryQueue {
+   public:
+    void push(const Expiry& e);
+    // Calls retire(e) for every record with e.when <= now, in no
+    // particular order, and drops them.
+    template <typename Retire>
+    void retire_until(SimTime now, Retire&& retire);
+
+    std::uint64_t ring_pushes() const noexcept { return ring_pushes_; }
+    std::uint64_t heap_pushes() const noexcept { return heap_pushes_; }
+
+   private:
+    void grow_ring();
+
+    struct FreeRing {
+      void operator()(Expiry* ring) const noexcept { std::free(ring); }
+    };
+    // Circular: `size_` of `capacity_` records from `head_`.
+    std::unique_ptr<Expiry, FreeRing> ring_;
+    std::size_t capacity_ = 0;
+    std::size_t head_ = 0;
+    std::size_t tail_ = 0;      // next write position
+    std::size_t size_ = 0;
+    SimTime back_ = 0;          // `when` of the newest ring record
+    std::vector<Expiry> heap_;  // min-heap on `when`
+    std::uint64_t ring_pushes_ = 0;
+    std::uint64_t heap_pushes_ = 0;
+  };
+
   bool with_ecs_;
   std::optional<std::uint32_t> ttl_override_;
-  dnscore::FlatHashMap<detail::CacheKey, Slot, detail::CacheKeyHash> cache_;
-  std::priority_queue<Expiry, std::vector<Expiry>, LaterExpiry> expirations_;
+  dnscore::FlatHashMap<detail::CacheKey, Cached, detail::CacheKeyHash> cache_;
+  ExpiryQueue expirations_;
   std::vector<ResolverCacheResult> results_;
   std::vector<std::size_t> live_;
   std::uint64_t queries_ = 0;
@@ -164,13 +212,16 @@ class StreamingCacheSim {
 
 // Replays one logical stream, constructing one instance per shard from the
 // factory (stream construction is a pure deterministic function, so every
-// instance replays the same sequence). Every call, one shard included, runs
-// the same resolver-partitioned program on netsim::ParallelEngine: each
-// shard restricts its stream to the resolvers it owns (or filters when the
-// stream cannot restrict) and folds them through StreamingCacheSim, or
-// through the bounded fold when max_entries_per_resolver is set. Shard
-// count: min(options.shards, resolvers) when bounded or time-ordered, else
-// one (see CacheSimOptions::shards).
+// instance replays the same sequence). Shard 0's instance is built on the
+// calling thread; every other shard builds its own on its worker, so the
+// factory must be safe to call concurrently. Every call, one shard
+// included, runs the same resolver-partitioned program on
+// netsim::ParallelEngine: each shard restricts its stream to the resolvers
+// it owns (or filters when the stream cannot restrict) and folds them
+// through StreamingCacheSim, or through the bounded fold when
+// max_entries_per_resolver is set. Shard count: min(options.shards,
+// resolvers) when bounded or time-ordered, else one (see
+// CacheSimOptions::shards).
 CacheSimResult simulate_cache_stream(const TraceStreamFactory& factory,
                                      const CacheSimOptions& options);
 

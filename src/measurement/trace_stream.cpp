@@ -80,12 +80,7 @@ PublicResolverCdnStream::PublicResolverCdnStream(
                    config.scope8_weight, scope_rng);
   }
 
-  rng_.reserve(config.resolvers);
-  arrival_.resize(config.resolvers);
-  mean_gap_us_.resize(config.resolvers);
-  population_.resize(config.resolvers);
-  subnets_.resize(config.resolvers);
-  salt_.resize(config.resolvers);
+  resolvers_.reserve(config.resolvers);
   for (std::uint32_t r = 0; r < config.resolvers; ++r) {
     // Everything resolver r ever does is a pure function of (seed, r).
     Rng rng = Rng::stream(config.seed, r);
@@ -95,9 +90,9 @@ PublicResolverCdnStream::PublicResolverCdnStream(
     const double hi = config.max_clients_per_resolver;
     const auto population = static_cast<std::uint32_t>(
         lo * std::exp(rng.uniform_double() * std::log(hi / lo)));
-    population_[r] = population;
-    subnets_[r] = std::max(1u, population / 4);  // ~4 clients per /24 block
-    salt_[r] = rng.next_u64();
+    // ~4 clients per /24 block.
+    const std::uint32_t subnets = std::max(1u, population / 4);
+    const std::uint64_t salt = rng.next_u64();
     // Busier resolvers serve more clients: couple qps to population.
     const double spread =
         static_cast<double>(population - config.min_clients_per_resolver) /
@@ -106,22 +101,24 @@ PublicResolverCdnStream::PublicResolverCdnStream(
     const double qps =
         config.min_qps +
         spread * (config.max_qps - config.min_qps) * (0.5 + rng.uniform_double());
-    mean_gap_us_[r] = 1e6 / qps;
-    arrival_[r] = rng.exponential(mean_gap_us_[r]);
-    rng_.push_back(rng);
-    if (static_cast<SimTime>(arrival_[r]) < duration_) {
-      wheel_.push(static_cast<SimTime>(arrival_[r]), r, r);
+    const double mean_gap_us = 1e6 / qps;
+    const double arrival = rng.exponential(mean_gap_us);
+    resolvers_.push_back(
+        ResolverState{rng, arrival, mean_gap_us, salt, population, subnets});
+    if (static_cast<SimTime>(arrival) < duration_) {
+      wheel_.push(static_cast<SimTime>(arrival), r, r);
     }
   }
 }
 
 IpAddress PublicResolverCdnStream::client_of(std::uint32_t r,
                                              std::uint32_t k) const noexcept {
+  const ResolverState& state = resolvers_[r];
   const std::uint64_t key = static_cast<std::uint64_t>(k) << 1;
   const std::uint32_t subnet = static_cast<std::uint32_t>(
-      mix64(salt_[r] ^ key) % subnets_[r]) & 0xffffu;
+      mix64(state.salt ^ key) % state.subnets) & 0xffffu;
   const std::uint32_t host =
-      1 + static_cast<std::uint32_t>(mix64(salt_[r] ^ (key | 1)) % 250);
+      1 + static_cast<std::uint32_t>(mix64(state.salt ^ (key | 1)) % 250);
   const std::uint32_t bits = (100u << 24) | ((subnet >> 8) << 16) |
                              ((subnet & 0xff) << 8) | host;
   return IpAddress::v4(bits);
@@ -132,11 +129,10 @@ bool PublicResolverCdnStream::restrict_to_members(std::size_t index,
   if (started_ || count == 0 || index >= count) return false;
   if (count == 1) return true;  // shard 0 of 1 is the unrestricted stream
   netsim::TimerWheel<std::uint32_t> wheel;
-  for (std::uint32_t r = 0; r < population_.size(); ++r) {
+  for (std::uint32_t r = 0; r < resolvers_.size(); ++r) {
     if (shard_of_id(r, count) != index) continue;
-    if (static_cast<SimTime>(arrival_[r]) < duration_) {
-      wheel.push(static_cast<SimTime>(arrival_[r]), r, r);
-    }
+    const auto arrival = static_cast<SimTime>(resolvers_[r].arrival);
+    if (arrival < duration_) wheel.push(arrival, r, r);
   }
   wheel_ = std::move(wheel);
   return true;
@@ -147,24 +143,24 @@ bool PublicResolverCdnStream::next(TraceQuery& q) {
   netsim::TimerEntry<std::uint32_t> entry;
   if (!wheel_.pop_next(entry)) return false;
   const std::uint32_t r = entry.payload;
-  Rng& rng = rng_[r];
+  ResolverState& state = resolvers_[r];
+  Rng& rng = state.rng;
   q.time = entry.when;
   q.resolver = r;
-  q.client = client_of(r, static_cast<std::uint32_t>(rng.uniform(population_[r])));
+  q.client = client_of(r, static_cast<std::uint32_t>(rng.uniform(state.population)));
   q.name = static_cast<std::uint32_t>(names_.sample(rng));
   q.scope = scope_of_[q.name];
   q.ttl_s = ttl_s_;
-  arrival_[r] += rng.exponential(mean_gap_us_[r]);
-  if (static_cast<SimTime>(arrival_[r]) < duration_) {
-    wheel_.push(static_cast<SimTime>(arrival_[r]), r, r);
-  }
+  state.arrival += rng.exponential(state.mean_gap_us);
+  const auto arrival = static_cast<SimTime>(state.arrival);
+  if (arrival < duration_) wheel_.push(arrival, r, r);
   return true;
 }
 
 void PublicResolverCdnStream::append_clients(
     std::vector<IpAddress>& out) const {
-  for (std::uint32_t r = 0; r < population_.size(); ++r) {
-    for (std::uint32_t k = 0; k < population_[r]; ++k) {
+  for (std::uint32_t r = 0; r < resolvers_.size(); ++r) {
+    for (std::uint32_t k = 0; k < resolvers_[r].population; ++k) {
       out.push_back(client_of(r, k));
     }
   }

@@ -67,8 +67,9 @@ class TraceStream {
 };
 
 // Builds fresh, independent instances of one logical stream. Invoked once
-// per shard (plus once for the dispatch probe); each instance replays the
-// same deterministic sequence.
+// per shard, concurrently from the shards' worker threads, so a factory
+// must not mutate shared state; each instance replays the same
+// deterministic sequence.
 using TraceStreamFactory = std::function<std::unique_ptr<TraceStream>()>;
 
 // Precomputes the info block for a materialized trace (one O(n) scan; do it
@@ -106,10 +107,11 @@ class MaterializedTraceStream final : public TraceStream {
 // generator (one shared RNG, generate-all-then-sort), every resolver draws
 // from its own Rng::stream(seed, r), so resolver r's traffic is a pure
 // function of (seed, r) and the merged stream is produced in time order by
-// a timer wheel holding one pending arrival per resolver. Per-resolver
-// state is SoA (~64 bytes/resolver), and client addresses are derived on
-// the fly from a per-resolver salt instead of being stored — that is what
-// lets a million-member fleet stream in a bounded-RSS process.
+// a timer wheel holding one pending arrival per resolver. Each resolver's
+// state is one 64-byte cache line (its Rng plus five fields), so a next()
+// touches one line of it, and client addresses are derived on the fly from
+// a per-resolver salt instead of being stored — that is what lets a
+// million-member fleet stream in a bounded-RSS process.
 //
 // Note: addresses are hash-derived (100.x.y.z from mix64), so unlike the
 // old generator's global dedup set, distinct (resolver, k) pairs may rarely
@@ -127,7 +129,7 @@ class PublicResolverCdnStream final : public TraceStream {
   // arrivals. Safe because the wheel pops in (when, seq = resolver id)
   // order — dropping foreign resolvers cannot reorder the survivors — and
   // resolver r's draws come from its own Rng::stream(seed, r), untouched
-  // by the restriction. The SoA vectors stay full-width (dense id
+  // by the restriction. The per-resolver state stays full-width (dense id
   // indexing); only the wheel shrinks.
   bool restrict_to_members(std::size_t index, std::size_t count) override;
 
@@ -141,13 +143,18 @@ class PublicResolverCdnStream final : public TraceStream {
   std::uint32_t ttl_s_;
   std::vector<int> scope_of_;       // per hostname
   netsim::ZipfSampler names_;
-  // SoA per-resolver state, indexed by the dense resolver id.
-  std::vector<netsim::Rng> rng_;
-  std::vector<double> arrival_;     // exact (double) next arrival time
-  std::vector<double> mean_gap_us_;
-  std::vector<std::uint32_t> population_;
-  std::vector<std::uint32_t> subnets_;
-  std::vector<std::uint64_t> salt_;
+  // Everything next() reads or writes for one resolver, in one line.
+  struct alignas(64) ResolverState {
+    netsim::Rng rng;
+    double arrival;  // exact (double) next arrival time
+    double mean_gap_us;
+    std::uint64_t salt;
+    std::uint32_t population;
+    std::uint32_t subnets;
+  };
+  static_assert(sizeof(ResolverState) == 64);
+  // Indexed by the dense resolver id.
+  std::vector<ResolverState> resolvers_;
   // One pending arrival per live resolver; (time, resolver) pop order.
   netsim::TimerWheel<std::uint32_t> wheel_;
 };

@@ -4,6 +4,7 @@
 // allocation — the tests below pin the hot paths that must stay flat.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "dnscore/wire.h"
 #include "live/client.h"
 #include "live/udp_server.h"
+#include "measurement/cache_sim.h"
 #include "measurement/testbed.h"
 #include "netsim/buffer_pool.h"
 #include "netsim/socket.h"
@@ -211,6 +213,47 @@ TEST(ResolverAllocations, WarmNsCacheMissAllocationCountIsPinned) {
     if (i >= 8) per_miss.push_back(after - before);  // after pools converge
   }
   for (const std::uint64_t n : per_miss) EXPECT_EQ(n, 6u);
+}
+
+// The §7 unbounded fold in steady state: once a periodic stream has
+// reached its steady live count, the cache table, the expiry ring and the
+// expiry heap have all converged, and observe() allocates nothing. Two
+// TTLs, so short-lived records take the heap behind long-lived ones on the
+// ring and both halves of the queue are on the line.
+TEST(CacheSimNoalloc, SteadyStateObserveIsAllocationFree) {
+  constexpr std::uint32_t kResolvers = 4;
+  const std::array<dnscore::IpAddress, 3> clients = {
+      dnscore::IpAddress::v4(100, 64, 1, 5), dnscore::IpAddress::v4(100, 64, 2, 5),
+      dnscore::IpAddress::v4(100, 64, 3, 5)};
+  const auto query = [&](std::uint64_t i) {
+    measurement::TraceQuery q;
+    q.time = static_cast<netsim::SimTime>(i) * 250 * netsim::kMillisecond;
+    q.resolver = static_cast<std::uint32_t>(i % kResolvers);
+    // Each resolver cycles through 15 (client, name) keys every 15 s.
+    q.client = clients[(i / kResolvers) % clients.size()];
+    q.name = static_cast<std::uint32_t>((i / kResolvers) % 5);
+    q.scope = 24;
+    q.ttl_s = i % 3 == 0 ? 20 : 5;
+    return q;
+  };
+  measurement::StreamingCacheSim sim(kResolvers, measurement::CacheSimOptions{});
+  // The stream repeats every 60 queries (15 s), so equal phases hold
+  // equal live counts.
+  constexpr std::uint64_t kPeriod = 60;
+  std::uint64_t i = 0;
+  for (; i < 64 * kPeriod; ++i) sim.observe(query(i));  // 960 s: many TTLs
+  const auto live = sim.live_entries();
+  const auto ring = sim.ring_pushes();
+  const auto heap = sim.heap_pushes();
+  const auto before = allocs();
+  for (; i < 128 * kPeriod; ++i) sim.observe(query(i));
+  EXPECT_EQ(allocs(), before) << "steady-state StreamingCacheSim::observe allocated";
+  EXPECT_EQ(sim.live_entries(), live);
+  EXPECT_GT(sim.ring_pushes(), ring);
+  EXPECT_GT(sim.heap_pushes(), heap);
+  const auto rows = sim.finish();
+  EXPECT_GT(rows.total_hits(), 0u);
+  EXPECT_GT(rows.total_misses(), 0u);
 }
 
 // The live-wire steady state: a ServerShard driving recv -> serve_wire ->

@@ -1,12 +1,17 @@
 // Trace generation and the §7 trace-driven cache simulation.
 #include <gtest/gtest.h>
-#include <map>
 
+#include <array>
+#include <map>
 #include <numeric>
+#include <optional>
+#include <queue>
 #include <set>
 
 #include "measurement/cache_sim.h"
+#include "measurement/trace_stream.h"
 #include "measurement/tracegen.h"
+#include "netsim/rng.h"
 
 namespace ecsdns::measurement {
 namespace {
@@ -259,6 +264,208 @@ TEST(CacheSim, EcsReducesHitRate) {
   const auto with = simulate_cache(t, CacheSimOptions{true, std::nullopt, std::nullopt});
   const auto without = simulate_cache(t, CacheSimOptions{false, std::nullopt, std::nullopt});
   EXPECT_LT(with.overall_hit_rate(), without.overall_hit_rate());
+}
+
+using detail::CacheKey;
+using detail::CacheKeyHash;
+using detail::cache_key_of;
+
+// The unbounded fold as it stood with one priority queue of every pending
+// expiration: observe() is that version verbatim. StreamingCacheSim's
+// FIFO-first queue must reproduce its rows on every input.
+class HeapOnlyCacheSim {
+ public:
+  HeapOnlyCacheSim(std::uint32_t resolvers, const CacheSimOptions& options)
+      : with_ecs_(options.with_ecs),
+        ttl_override_(options.ttl_override),
+        results_(resolvers),
+        live_(resolvers, 0) {
+    for (std::uint32_t r = 0; r < resolvers; ++r) results_[r].resolver = r;
+  }
+
+  void observe(const TraceQuery& q) {
+    ++queries_;
+    // Retire everything that expired before this query.
+    while (!expirations_.empty() && expirations_.top().when <= q.time) {
+      const Expiry e = expirations_.top();
+      expirations_.pop();
+      const Slot* slot = cache_.find(e.key);
+      // Only erase if this expiration is current (the entry may have been
+      // refreshed after a miss).
+      if (slot != nullptr && slot->expiry <= e.when) {
+        --live_[e.key.resolver];
+        cache_.erase(e.key);
+      }
+    }
+
+    const CacheKey key = cache_key_of(q, with_ecs_);
+
+    auto& result = results_.at(q.resolver);
+    Slot* found = cache_.find(key);
+    if (found != nullptr && found->expiry > q.time) {
+      ++result.hits;
+      return;
+    }
+    ++result.misses;
+    const std::uint32_t ttl_s = ttl_override_.value_or(q.ttl_s);
+    const SimTime expiry = q.time + static_cast<SimTime>(ttl_s) * netsim::kSecond;
+    const auto [new_slot, inserted] = cache_.insert_or_assign(key, Slot{expiry});
+    (void)new_slot;
+    if (inserted) ++live_[q.resolver];
+    result.max_cache_size = std::max(result.max_cache_size, live_[q.resolver]);
+    expirations_.push(Expiry{expiry, key});
+  }
+
+  std::vector<ResolverCacheResult> finish() { return std::move(results_); }
+
+ private:
+  struct Slot {
+    SimTime expiry = 0;
+  };
+  struct Expiry {
+    SimTime when;
+    CacheKey key;
+  };
+  struct LaterExpiry {
+    bool operator()(const Expiry& a, const Expiry& b) const {
+      return a.when > b.when;
+    }
+  };
+
+  bool with_ecs_;
+  std::optional<std::uint32_t> ttl_override_;
+  dnscore::FlatHashMap<CacheKey, Slot, CacheKeyHash> cache_;
+  std::priority_queue<Expiry, std::vector<Expiry>, LaterExpiry> expirations_;
+  std::vector<ResolverCacheResult> results_;
+  std::vector<std::size_t> live_;
+  std::uint64_t queries_ = 0;
+};
+
+struct PushCounts {
+  std::uint64_t ring = 0;
+  std::uint64_t heap = 0;
+};
+
+// Folds `queries` through StreamingCacheSim and the heap-only reference and
+// asserts identical rows; returns where the StreamingCacheSim pushes went.
+PushCounts expect_matches_heap_only(const std::vector<TraceQuery>& queries,
+                                    std::uint32_t resolvers,
+                                    const CacheSimOptions& options) {
+  StreamingCacheSim sim(resolvers, options);
+  HeapOnlyCacheSim reference(resolvers, options);
+  for (const TraceQuery& q : queries) {
+    sim.observe(q);
+    reference.observe(q);
+  }
+  const PushCounts pushes{sim.ring_pushes(), sim.heap_pushes()};
+  const auto got = sim.finish().per_resolver;
+  const auto want = reference.finish();
+  EXPECT_EQ(got.size(), want.size());
+  std::uint64_t misses = 0;
+  for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(got[i].resolver, want[i].resolver);
+    EXPECT_EQ(got[i].max_cache_size, want[i].max_cache_size);
+    EXPECT_EQ(got[i].hits, want[i].hits);
+    EXPECT_EQ(got[i].misses, want[i].misses);
+    EXPECT_EQ(got[i].premature_evictions, want[i].premature_evictions);
+    misses += got[i].misses;
+  }
+  EXPECT_EQ(pushes.ring + pushes.heap, misses);
+  return pushes;
+}
+
+std::vector<TraceQuery> pull_all(TraceStream& stream) {
+  std::vector<TraceQuery> out;
+  TraceQuery q;
+  while (stream.next(q)) out.push_back(q);
+  return out;
+}
+
+CacheSimOptions ecs_options(bool with_ecs, std::optional<std::uint32_t> ttl = {}) {
+  CacheSimOptions options;
+  options.with_ecs = with_ecs;
+  options.ttl_override = ttl;
+  return options;
+}
+
+// One TTL on a time-ordered stream: push order is expiry order, so every
+// record takes the ring.
+TEST(CacheSimExpiryQueue, ConstantTtlCdnStreamMatchesHeapOnlyFoldOnTheRingAlone) {
+  const auto config = small_cdn_config();
+  PublicResolverCdnStream stream(config);
+  const auto queries = pull_all(stream);
+  ASSERT_GT(queries.size(), 1000u);
+  for (const bool with_ecs : {true, false}) {
+    SCOPED_TRACE(with_ecs);
+    const PushCounts pushes =
+        expect_matches_heap_only(queries, config.resolvers, ecs_options(with_ecs));
+    EXPECT_GT(pushes.ring, 0u);
+    EXPECT_EQ(pushes.heap, 0u);
+  }
+}
+
+// TTLs of 20..300 s on one time-ordered stream: a short-TTL miss after a
+// long-TTL one expires earlier than the ring's back and takes the heap.
+TEST(CacheSimExpiryQueue, MixedTtlAllNamesStreamMatchesHeapOnlyFold) {
+  AllNamesConfig config;
+  config.clients = 400;
+  config.client_subnets = 100;
+  config.hostnames = 300;
+  config.slds = 40;
+  config.duration = 20 * netsim::kMinute;
+  config.queries_per_second = 60;
+  config.ecs_zone_fraction = 0.6;
+  AllNamesStream stream(config);
+  const auto queries = pull_all(stream);
+  ASSERT_GT(queries.size(), 10000u);
+  for (const bool with_ecs : {true, false}) {
+    SCOPED_TRACE(with_ecs);
+    const PushCounts pushes =
+        expect_matches_heap_only(queries, 1, ecs_options(with_ecs));
+    EXPECT_GT(pushes.ring, 0u);
+    EXPECT_GT(pushes.heap, 0u);
+  }
+}
+
+// An unsorted trace: time runs backwards, TTL 0 answers expire at their own
+// query time, keys repeat across resolvers and clients, and ttl_override
+// replaces every TTL (0 included).
+TEST(CacheSimExpiryQueue, UnsortedTtlZeroAndOverrideMatchHeapOnlyFold) {
+  const std::array<dnscore::IpAddress, 4> clients = {
+      dnscore::IpAddress::parse("100.0.1.5"), dnscore::IpAddress::parse("100.0.1.77"),
+      dnscore::IpAddress::parse("100.0.2.5"), dnscore::IpAddress::parse("2001:db8::1")};
+  constexpr std::uint32_t kTtls[] = {0, 0, 1, 3, 20};
+  std::vector<TraceQuery> queries;
+  // Hand-picked: a TTL-0 answer asked twice at one instant, then a query
+  // earlier than both.
+  queries.push_back({10 * netsim::kSecond, 0, clients[0], 0, 24, 0});
+  queries.push_back({10 * netsim::kSecond, 0, clients[0], 0, 24, 0});
+  queries.push_back({5 * netsim::kSecond, 0, clients[1], 0, 24, 20});
+  queries.push_back({30 * netsim::kSecond, 0, clients[0], 0, 24, 0});
+  netsim::Rng rng(17);
+  SimTime t = 0;
+  for (int i = 0; i < 4000; ++i) {
+    // Mostly forward with frequent jumps back of up to 8 s.
+    t += static_cast<SimTime>(rng.uniform(2 * netsim::kSecond));
+    if (rng.chance(0.3)) t -= static_cast<SimTime>(rng.uniform(8 * netsim::kSecond));
+    if (t < 0) t = 0;
+    const dnscore::IpAddress& client = clients[rng.uniform(clients.size())];
+    queries.push_back({t, static_cast<std::uint32_t>(rng.uniform(3)), client,
+                       static_cast<std::uint32_t>(rng.uniform(6)),
+                       client.is_v4() ? 24 : 48, kTtls[rng.uniform(std::size(kTtls))]});
+  }
+  for (const bool with_ecs : {true, false}) {
+    for (const std::optional<std::uint32_t> ttl :
+         {std::optional<std::uint32_t>{}, std::optional<std::uint32_t>{0},
+          std::optional<std::uint32_t>{5}}) {
+      SCOPED_TRACE(testing::Message() << "ecs " << with_ecs << " ttl "
+                                      << (ttl ? static_cast<int>(*ttl) : -1));
+      const PushCounts pushes =
+          expect_matches_heap_only(queries, 3, ecs_options(with_ecs, ttl));
+      EXPECT_GT(pushes.heap, 0u);
+    }
+  }
 }
 
 }  // namespace
